@@ -1,4 +1,4 @@
-//===-- bench/bench_interp.cpp - Interpreter & product throughput -*- C++ -*-===//
+//===-- bench/bench_interp.cpp - Interpreter throughput ---------*- C++ -*-===//
 //
 // Part of the CommCSL-C++ project.
 //
@@ -7,14 +7,12 @@
 /// \file
 /// Throughput benchmarks for the operational-semantics substrate: steps
 /// per second of the concurrent interpreter on the Fig. 2 workload under
-/// different schedulers, and the overhead of the self-composition product
-/// relative to two plain runs on a sequential workload.
+/// different schedulers.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lang/TypeChecker.h"
 #include "parser/Parser.h"
-#include "product/Product.h"
 #include "sem/Interp.h"
 #include "sem/Scheduler.h"
 
@@ -109,65 +107,6 @@ void BM_Interp_Counter_RoundRobin(benchmark::State &State) {
 BENCHMARK(BM_Interp_Counter_RoundRobin)
     ->Arg(64)
     ->Unit(benchmark::kMicrosecond);
-
-const char *SequentialWorkload = R"(
-  procedure main(l: int, h: int) returns (out: int)
-    requires low(l)
-    ensures low(out)
-  {
-    var i: int := 0;
-    var acc: int := 0;
-    while (i < l % 32 + 16) {
-      acc := acc + i * l;
-      i := i + 1;
-    }
-    out := acc;
-  }
-)";
-
-void BM_Product_TwoPlainRuns(benchmark::State &State) {
-  Program P = parseProgram(SequentialWorkload);
-  Interpreter Interp(P);
-  for (auto _ : State) {
-    RoundRobinScheduler S1, S2;
-    RunResult R1 = Interp.run("main", {ValueFactory::intV(5),
-                                       ValueFactory::intV(11)}, S1);
-    RunResult R2 = Interp.run("main", {ValueFactory::intV(5),
-                                       ValueFactory::intV(99)}, S2);
-    benchmark::DoNotOptimize(R1);
-    benchmark::DoNotOptimize(R2);
-  }
-}
-BENCHMARK(BM_Product_TwoPlainRuns)->Unit(benchmark::kMicrosecond);
-
-void BM_Product_SelfComposition(benchmark::State &State) {
-  Program P = parseProgram(SequentialWorkload);
-  DiagnosticEngine Diags;
-  std::optional<Program> Product = buildSelfComposition(P, "main", Diags);
-  if (!Product) {
-    State.SkipWithError("product construction failed");
-    return;
-  }
-  {
-    // Product programs are fresh ASTs: type-check once.
-    DiagnosticEngine D2;
-    TypeChecker Checker(*Product, D2);
-    Checker.check();
-  }
-  Interpreter Interp(*Product);
-  for (auto _ : State) {
-    RoundRobinScheduler Sched;
-    RunResult R = Interp.run(
-        "main$prod",
-        {ValueFactory::intV(5), ValueFactory::intV(11),
-         ValueFactory::intV(5), ValueFactory::intV(99)},
-        Sched);
-    if (!R.ok())
-      State.SkipWithError(("product aborted: " + R.AbortReason).c_str());
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_Product_SelfComposition)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

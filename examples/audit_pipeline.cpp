@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hyperviper/Driver.h"
-#include "logic/Assertion.h"
+#include "rspec/RSpec.h"
 #include "sem/Scheduler.h"
 #include "value/ValueOps.h"
 

@@ -306,3 +306,18 @@ NIReport Driver::runEmpirical(const DriverResult &Result,
   NonInterferenceHarness Harness(*Result.Prog, ProcName, Config);
   return Harness.run();
 }
+
+std::string commcsl::formatVerdictLine(const std::string &Name,
+                                       bool Verified) {
+  return Name + (Verified ? ": verified\n" : ": REJECTED\n");
+}
+
+std::string commcsl::formatNIBlock(const NIReport &Report) {
+  if (Report.secure())
+    return "  empirical non-interference: no violation in " +
+           std::to_string(Report.Runs) + " runs (" +
+           std::to_string(Report.PairsCompared) + " pairs)\n";
+  return "  empirical non-interference: VIOLATION after " +
+         std::to_string(Report.Runs) + " runs\n" +
+         Report.Violation->describe();
+}

@@ -137,6 +137,16 @@ private:
   DriverOptions Options;
 };
 
+/// The per-file verdict line of the verify verb: `<Name>: verified` or
+/// `<Name>: REJECTED`, newline-terminated. The CLI and the serve daemon
+/// both print it through here, so their outputs agree byte for byte.
+std::string formatVerdictLine(const std::string &Name, bool Verified);
+
+/// The empirical non-interference block printed under a verdict line:
+/// one summary line, followed by the violation's description when the
+/// sweep found one.
+std::string formatNIBlock(const NIReport &Report);
+
 } // namespace commcsl
 
 #endif // COMMCSL_HYPERVIPER_DRIVER_H

@@ -6,6 +6,8 @@
 
 #include "rspec/RSpec.h"
 
+#include <set>
+
 using namespace commcsl;
 
 namespace {
@@ -152,4 +154,81 @@ bool RSpecRuntime::preHolds(const ActionDecl &Action, const ValueRef &Arg1,
     }
   }
   return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Consistency (Sec. 3.5)
+//===----------------------------------------------------------------------===//
+
+namespace {
+struct ConsistencySearch {
+  const RSpecRuntime &Runtime;
+  const ValueRef &Final;
+  // Remaining arguments: for unique actions a queue (front first); for the
+  // shared action(s) an unordered pool.
+  std::vector<std::pair<const ActionDecl *, std::vector<ValueRef>>> Remaining;
+  std::set<std::string> Visited;
+
+  bool search(const ValueRef &V) {
+    bool AllEmpty = true;
+    for (const auto &[Action, Args] : Remaining)
+      AllEmpty &= Args.empty();
+    if (AllEmpty)
+      return Value::equal(V, Final);
+
+    // Memoize on (value, remaining footprint).
+    std::string Key = V->str();
+    for (const auto &[Action, Args] : Remaining) {
+      Key += "|" + Action->Name + ":";
+      for (const ValueRef &A : Args)
+        Key += A->str() + ",";
+    }
+    if (!Visited.insert(Key).second)
+      return false;
+
+    for (auto &[Action, Args] : Remaining) {
+      if (Args.empty())
+        continue;
+      if (Action->Unique) {
+        // Order fixed: only the front may fire.
+        ValueRef Arg = Args.front();
+        Args.erase(Args.begin());
+        bool Found = search(Runtime.applyAction(*Action, V, Arg));
+        Args.insert(Args.begin(), Arg);
+        if (Found)
+          return true;
+        continue;
+      }
+      // Shared: any remaining argument may fire; skip duplicates.
+      std::set<std::string> Tried;
+      for (size_t I = 0; I < Args.size(); ++I) {
+        ValueRef Arg = Args[I];
+        if (!Tried.insert(Arg->str()).second)
+          continue;
+        Args.erase(Args.begin() + I);
+        bool Found = search(Runtime.applyAction(*Action, V, Arg));
+        Args.insert(Args.begin() + I, Arg);
+        if (Found)
+          return true;
+      }
+    }
+    return false;
+  }
+};
+} // namespace
+
+bool commcsl::consistentWith(
+    const RSpecRuntime &Runtime, const ValueRef &Initial,
+    const std::map<std::string, ValueRef> &ArgsByAction,
+    const ValueRef &Final) {
+  ConsistencySearch Search{Runtime, Final, {}, {}};
+  for (const auto &[Name, Args] : ArgsByAction) {
+    const ActionDecl *Action = Runtime.decl().findAction(Name);
+    assert(Action && "unknown action in consistency query");
+    assert(((Action->Unique && Args->kind() == ValueKind::Seq) ||
+            (!Action->Unique && Args->kind() == ValueKind::Multiset)) &&
+           "argument collection kind mismatch");
+    Search.Remaining.emplace_back(Action, Args->elems());
+  }
+  return Search.search(Initial);
 }

@@ -8,7 +8,8 @@
 /// Runtime view of a resource specification (Sec. 2.4 / 3.2): concrete
 /// evaluation of the abstraction function `alpha`, the action functions
 /// `f_a`, optional action result functions, and the *relational* action
-/// preconditions `pre_a(arg, arg')`.
+/// preconditions `pre_a(arg, arg')`; and the consistency relation of
+/// Sec. 3.5 between a resource's recorded actions and its final value.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,9 @@
 #include "rspec/EvalCache.h"
 #include "value/Value.h"
 
+#include <map>
 #include <memory>
+#include <string>
 
 namespace commcsl {
 
@@ -98,6 +101,15 @@ private:
   ExprEvaluator Eval;
   std::shared_ptr<SpecEvalCache> Cache;
 };
+
+/// Sec. 3.5 consistency: \p Final is reachable from \p Initial by applying
+/// every recorded argument exactly once, in *some* interleaving that keeps
+/// each unique action's arguments in order (shared arguments may be
+/// permuted). Bounded exhaustive search with memoization.
+bool consistentWith(
+    const RSpecRuntime &Runtime, const ValueRef &Initial,
+    const std::map<std::string, ValueRef> &ArgsByAction, // ms or seq
+    const ValueRef &Final);
 
 } // namespace commcsl
 

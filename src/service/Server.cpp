@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -116,10 +117,24 @@ bool buildRequest(const JsonValue &J, ServiceRequest &Out,
     return false;
   }
 
+  // Fields held in `unsigned`: a value that does not fit is a bad request,
+  // never silently narrowed.
+  auto GetUnsigned = [&](const char *Key, unsigned &Dst) {
+    uint64_t V = J.getU64(Key, Dst);
+    if (V > std::numeric_limits<unsigned>::max()) {
+      Message = std::string("\"") + Key + "\" is out of range: " +
+                std::to_string(V);
+      return false;
+    }
+    Dst = static_cast<unsigned>(V);
+    return true;
+  };
+
   Out.Source = J.getString("source");
   Out.Name = J.getString("name", "<request>");
   Out.Proc = J.getString("proc");
-  Out.Jobs = static_cast<unsigned>(J.getU64("jobs", 0));
+  if (!GetUnsigned("jobs", Out.Jobs))
+    return false;
   Out.Triage = J.getBool("triage");
   Out.NoValidity = J.getBool("no_validity");
   Out.EmitCert = J.getBool("emit_cert");
@@ -127,7 +142,8 @@ bool buildRequest(const JsonValue &J, ServiceRequest &Out,
   Out.MaxSteps = J.getU64("max_steps", 0);
 
   if (Out.V == ServiceRequest::Verb::Fuzz) {
-    Out.Fuzz.NumSeeds = J.getU64("seeds", Out.Fuzz.NumSeeds);
+    if (!GetUnsigned("seeds", Out.Fuzz.NumSeeds))
+      return false;
     Out.Fuzz.BaseSeed = J.getU64("base_seed", Out.Fuzz.BaseSeed);
     Out.Fuzz.Jobs = Out.Jobs;
     return true;

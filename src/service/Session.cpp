@@ -10,8 +10,6 @@
 #include "support/trace/Metrics.h"
 #include "support/trace/Trace.h"
 
-#include <cstdio>
-
 using namespace commcsl;
 
 namespace {
@@ -28,23 +26,6 @@ void countRequest(const char *Verb, bool CacheHit) {
                      : "service.program_cache_misses",
             Stability::Varies)
       .add(1);
-}
-
-std::string formatNIBlock(const NIReport &Report, int &Exit) {
-  char Buf[256];
-  if (Report.secure()) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "  empirical non-interference: no violation in %llu "
-                  "runs (%llu pairs)\n",
-                  static_cast<unsigned long long>(Report.Runs),
-                  static_cast<unsigned long long>(Report.PairsCompared));
-    return Buf;
-  }
-  std::snprintf(Buf, sizeof(Buf),
-                "  empirical non-interference: VIOLATION after %llu runs\n",
-                static_cast<unsigned long long>(Report.Runs));
-  Exit = 1;
-  return std::string(Buf) + Report.Violation->describe();
 }
 
 /// The request's cooperative budget, or null when unlimited. One budget
@@ -129,7 +110,8 @@ Session::obtain(const std::string &Source, const std::string &Name,
   WasHit = false;
   // LRU bound: evict the stalest entry. In-flight requests holding the
   // evicted shared_ptr keep it alive until they finish; only the warm
-  // lookup path loses it.
+  // lookup path loses it. Eviction may erase the fresh entry itself (a
+  // capacity of 0 caches nothing), so return our own reference to it.
   while (Programs.size() > Options.MaxCachedPrograms) {
     auto Oldest = Programs.begin();
     for (auto I = Programs.begin(); I != Programs.end(); ++I)
@@ -137,7 +119,7 @@ Session::obtain(const std::string &Source, const std::string &Name,
         Oldest = I;
     Programs.erase(Oldest);
   }
-  return It->second;
+  return Fresh;
 }
 
 DriverOptions
@@ -176,16 +158,18 @@ ServiceResponse Session::verify(const ServiceRequest &Request) {
   // line, then the optional NI block.
   if (!R.Verified)
     Resp.Report += R.Diags.str(Request.Name);
-  Resp.Report += Request.Name + ": " +
-                 (R.Verified ? "verified" : "REJECTED") + "\n";
+  Resp.Report += formatVerdictLine(Request.Name, R.Verified);
   Resp.Ok = R.Verified;
   Resp.Exit = R.Verified ? 0 : 1;
   Resp.Cert = R.Cert;
 
   if (!Request.Proc.empty() && R.ParseOk) {
     NIReport Report = D.runEmpirical(R, Request.Proc);
-    Resp.Report += formatNIBlock(Report, Resp.Exit);
-    Resp.Ok = Resp.Ok && Report.secure();
+    Resp.Report += formatNIBlock(Report);
+    if (!Report.secure()) {
+      Resp.Ok = false;
+      Resp.Exit = 1;
+    }
   }
 
   Resp.Cache = P->SpecCaches->totals() - Before;
@@ -204,8 +188,8 @@ ServiceResponse Session::validity(const ServiceRequest &Request) {
   }
 
   if (!P->Unit.Ok) {
-    Resp.Report = P->Unit.Diags.str(Request.Name) + Request.Name +
-                  ": REJECTED\n";
+    Resp.Report = P->Unit.Diags.str(Request.Name) +
+                  formatVerdictLine(Request.Name, false);
     Resp.Ok = false;
     Resp.Exit = 1;
     return Resp;
@@ -266,8 +250,8 @@ ServiceResponse Session::ni(const ServiceRequest &Request) {
   }
 
   if (!P->Unit.Ok) {
-    Resp.Report = P->Unit.Diags.str(Request.Name) + Request.Name +
-                  ": REJECTED\n";
+    Resp.Report = P->Unit.Diags.str(Request.Name) +
+                  formatVerdictLine(Request.Name, false);
     Resp.Ok = false;
     Resp.Exit = 1;
     return Resp;
@@ -279,8 +263,9 @@ ServiceResponse Session::ni(const ServiceRequest &Request) {
   Config.SharedSpecCaches = P->SpecCaches;
   NonInterferenceHarness Harness(*P->Unit.Prog, Request.Proc, Config);
   NIReport Report = Harness.run();
-  Resp.Report = formatNIBlock(Report, Resp.Exit);
+  Resp.Report = formatNIBlock(Report);
   Resp.Ok = Report.secure();
+  Resp.Exit = Resp.Ok ? 0 : 1;
   Resp.Cache = P->SpecCaches->totals() - Before;
   return Resp;
 }

@@ -1,4 +1,4 @@
-//===-- tests/hyper/HyperTest.cpp - NI harness & product tests -------------===//
+//===-- tests/hyper/HyperTest.cpp - NI harness tests ----------------------===//
 //
 // Part of the CommCSL-C++ project.
 //
@@ -6,9 +6,6 @@
 
 #include "hyper/NonInterference.h"
 
-#include "lang/TypeChecker.h"
-#include "product/Product.h"
-#include "sem/Scheduler.h"
 #include "tests/common/TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -257,109 +254,4 @@ TEST(HyperTest, ReportIsIdenticalWithAndWithoutMemoization) {
       }
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Self-composition product (product/)
-//===----------------------------------------------------------------------===//
-
-namespace {
-RunResult runProduct(Program &Product, const std::string &Proc,
-                     std::vector<ValueRef> Args) {
-  DiagnosticEngine Diags;
-  TypeChecker Checker(Product, Diags);
-  EXPECT_TRUE(Checker.check()) << Diags.str();
-  Interpreter Interp(Product);
-  RoundRobinScheduler Sched;
-  return Interp.run(Proc, Args, Sched);
-}
-} // namespace
-
-TEST(ProductTest, SecureProgramProductNeverAborts) {
-  Program P = parseChecked(R"(
-    procedure main(l: int, h: int) returns (out: int)
-      requires low(l)
-      ensures low(out)
-    {
-      var acc: int := 0;
-      var i: int := 0;
-      while (i < l % 5 + 1) {
-        acc := acc + 2;
-        i := i + 1;
-      }
-      out := acc;
-    }
-  )");
-  DiagnosticEngine Diags;
-  auto Product = buildSelfComposition(P, "main", Diags);
-  ASSERT_TRUE(Product.has_value()) << Diags.str();
-  // Same low input, different highs: the trailing asserts must pass.
-  RunResult R = runProduct(*Product, "main$prod",
-                           {iv(3), iv(7), iv(3), iv(99)});
-  EXPECT_TRUE(R.ok()) << R.AbortReason;
-  // Copy 1 and copy 2 outputs agree.
-  EXPECT_TRUE(Value::equal(R.Returns[0], R.Returns[1]));
-}
-
-TEST(ProductTest, LeakyProgramProductAborts) {
-  Program P = parseChecked(R"(
-    procedure main(l: int, h: int) returns (out: int)
-      requires low(l)
-      ensures low(out)
-    {
-      out := h;
-    }
-  )");
-  DiagnosticEngine Diags;
-  auto Product = buildSelfComposition(P, "main", Diags);
-  ASSERT_TRUE(Product.has_value()) << Diags.str();
-  RunResult R = runProduct(*Product, "main$prod",
-                           {iv(3), iv(7), iv(3), iv(99)});
-  EXPECT_EQ(R.St, RunResult::Status::Abort); // the postcondition assert
-}
-
-TEST(ProductTest, ConditionalLowTranslation) {
-  Program P = parseChecked(R"(
-    procedure main(b: bool, x: int) returns (out: int)
-      requires low(b) && b ==> low(x)
-      ensures b ==> low(out)
-    {
-      out := x * 2;
-    }
-  )");
-  DiagnosticEngine Diags;
-  auto Product = buildSelfComposition(P, "main", Diags);
-  ASSERT_TRUE(Product.has_value()) << Diags.str();
-  // b false: x may differ, out may differ, the guarded assert is vacuous.
-  RunResult R = runProduct(*Product, "main$prod",
-                           {bv(false), iv(1), bv(false), iv(9)});
-  EXPECT_TRUE(R.ok()) << R.AbortReason;
-  // b true with equal x: fine.
-  RunResult R2 = runProduct(*Product, "main$prod",
-                            {bv(true), iv(4), bv(true), iv(4)});
-  EXPECT_TRUE(R2.ok()) << R2.AbortReason;
-}
-
-TEST(ProductTest, ConcurrencyIsRejected) {
-  Program P = parseChecked(R"(
-    procedure main() returns (out: int)
-      ensures low(out)
-    {
-      var a: int := 0;
-      var b: int := 0;
-      par { a := 1; } and { b := 2; }
-      out := a + b;
-    }
-  )");
-  DiagnosticEngine Diags;
-  auto Product = buildSelfComposition(P, "main", Diags);
-  EXPECT_FALSE(Product.has_value());
-  EXPECT_TRUE(Diags.hasErrors());
-}
-
-TEST(ProductTest, RenameExprSuffixesVariables) {
-  ExprRef E = Expr::binary(BinaryOp::Add, Expr::var("x"),
-                           Expr::intLit(1));
-  ExprRef R = renameExpr(*E, 2);
-  EXPECT_EQ(R->str(), "(x$2 + 1)");
 }

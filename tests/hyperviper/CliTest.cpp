@@ -7,7 +7,8 @@
 /// \file
 /// End-to-end tests of the installed `hyperviper` binary (path injected as
 /// COMMCSL_HYPERVIPER_BIN): the unified `--jobs` contract across the
-/// verify / analyze / fuzz subcommands, and the observability flags —
+/// verify / analyze / fuzz / suggest-spec subcommands, strict numeric
+/// option values, and the observability flags —
 /// `--trace` emits Chrome trace-event JSON, `--metrics-json` emits a
 /// registry dump whose "counts" object is identical at any job count.
 ///
@@ -20,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -104,15 +106,51 @@ TEST(CliJobsTest, FuzzRejectsBadJobsValues) {
   }
 }
 
+TEST(CliJobsTest, SuggestSpecRejectsBadJobsValues) {
+  for (const char *Bad : {"4x", "0", "-2", "4294967296"}) {
+    CmdResult R = run(std::string("suggest-spec --jobs ") + Bad + " " +
+                      example("figure1.hv"));
+    EXPECT_EQ(R.Exit, 2) << Bad;
+    EXPECT_NE(R.Output.find(std::string("invalid --jobs value '") + Bad),
+              std::string::npos)
+        << R.Output;
+  }
+}
+
+TEST(CliJobsTest, NumericOptionsRejectBadValues) {
+  // Malformed values and values too large for the setting are usage
+  // errors, never a silent "no budget" or a truncated count. Each command
+  // ends in the flag under test.
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"fuzz --seeds 1 --time-budget", "abc"},
+      {"fuzz --seeds 1 --time-budget", "-5"},
+      {"fuzz --seeds 1 --time-budget", "1.2.3"},
+      {"fuzz --seeds", "4294967297"},
+      {"fuzz --seeds 1 --target-statements", "4294967296"},
+      {"fuzz --seeds 1 --shrink-budget", "4294967296"},
+      {"suggest-spec " + example("figure1.hv") + " --max", "4294967296"},
+  };
+  for (const auto &[Cmd, Bad] : Cases) {
+    std::string Flag = Cmd.substr(Cmd.rfind(' ') + 1);
+    CmdResult R = run(Cmd + " " + Bad);
+    EXPECT_EQ(R.Exit, 2) << Cmd << " " << Bad;
+    EXPECT_NE(R.Output.find("invalid " + Flag + " value '" + Bad + "'"),
+              std::string::npos)
+        << R.Output;
+  }
+}
+
 TEST(CliJobsTest, MissingJobsValueIsAnError) {
   EXPECT_EQ(run("--jobs").Exit, 2);
   EXPECT_EQ(run("analyze --jobs").Exit, 2);
   EXPECT_EQ(run("fuzz --jobs").Exit, 2);
+  EXPECT_EQ(run("suggest-spec --jobs").Exit, 2);
 }
 
 TEST(CliJobsTest, ValidJobsValueAcceptedEverywhere) {
   EXPECT_EQ(run("--quiet --jobs 2 " + example("figure1.hv")).Exit, 0);
   EXPECT_EQ(run("analyze --jobs 2 " + example("figure1.hv")).Exit, 0);
+  EXPECT_EQ(run("suggest-spec --jobs 2 " + example("figure1.hv")).Exit, 0);
   // Fuzz exit reflects the campaign's findings (0 clean, 1 findings);
   // what matters here is that a valid --jobs is not a usage error.
   int FuzzExit = run("fuzz --seeds 2 --jobs 2 --no-shrink --report " +

@@ -1,4 +1,4 @@
-//===-- tests/hyperviper/DriverTest.cpp - Driver & lattice tests -----------===//
+//===-- tests/hyperviper/DriverTest.cpp - Driver tests --------------------===//
 //
 // Part of the CommCSL-C++ project.
 //
@@ -6,13 +6,9 @@
 
 #include "hyperviper/Driver.h"
 
-#include "hyperviper/Lattice.h"
-#include "tests/common/TestUtil.h"
-
 #include <gtest/gtest.h>
 
 using namespace commcsl;
-using namespace commcsl::test;
 
 //===----------------------------------------------------------------------===//
 // Source metrics (the Table 1 LOC / Ann. columns)
@@ -115,134 +111,4 @@ TEST(DriverTest, RejectionKeepsDiagnostics) {
       "t");
   EXPECT_FALSE(R.Verified);
   EXPECT_TRUE(R.Diags.hasErrorWithCode(DiagCode::VerifyEntailment));
-}
-
-//===----------------------------------------------------------------------===//
-// Lattice verification (footnote 1)
-//===----------------------------------------------------------------------===//
-
-namespace {
-const char *ThreeLevelProgram = R"(
-  procedure main(pub: int, mid: int, sec: int)
-    returns (outPub: int, outMid: int)
-  {
-    outPub := pub * 2;
-    outMid := pub + mid;
-  }
-)";
-
-LatticeLevels threeLevels() {
-  LatticeLevels L;
-  L.NumLevels = 3;
-  L.ParamLevel = {{"pub", 0}, {"mid", 1}, {"sec", 2}};
-  L.ReturnLevel = {{"outPub", 0}, {"outMid", 1}};
-  return L;
-}
-} // namespace
-
-TEST(LatticeTest, WellLeveledFlowsVerifyAtEveryCutoff) {
-  Program P = parseChecked(ThreeLevelProgram);
-  LatticeResult R = verifyLattice(P, "main", threeLevels());
-  EXPECT_TRUE(R.Ok) << R.Diags.str();
-  ASSERT_EQ(R.LevelOk.size(), 3u);
-  for (bool Ok : R.LevelOk)
-    EXPECT_TRUE(Ok);
-}
-
-TEST(LatticeTest, DownwardFlowFailsAtItsCutoff) {
-  // outPub := mid: a level-1 value flowing into a level-0 output must fail
-  // exactly at cutoff 0 (where mid is high but outPub must be low).
-  Program P = parseChecked(R"(
-    procedure main(pub: int, mid: int, sec: int)
-      returns (outPub: int, outMid: int)
-    {
-      outPub := mid;
-      outMid := pub + mid;
-    }
-  )");
-  LatticeResult R = verifyLattice(P, "main", threeLevels());
-  EXPECT_FALSE(R.Ok);
-  ASSERT_EQ(R.LevelOk.size(), 3u);
-  EXPECT_FALSE(R.LevelOk[0]); // mid is high at cutoff 0
-  EXPECT_TRUE(R.LevelOk[1]);  // both low at cutoff 1
-  EXPECT_TRUE(R.LevelOk[2]);
-}
-
-TEST(LatticeTest, SecretFlowFailsAtAllLowerCutoffs) {
-  Program P = parseChecked(R"(
-    procedure main(pub: int, mid: int, sec: int)
-      returns (outPub: int, outMid: int)
-    {
-      outPub := pub;
-      outMid := sec;
-    }
-  )");
-  LatticeResult R = verifyLattice(P, "main", threeLevels());
-  EXPECT_FALSE(R.Ok);
-  EXPECT_TRUE(R.LevelOk[0]);  // outPub fine; outMid not low at cutoff 0
-  EXPECT_FALSE(R.LevelOk[1]); // outMid must be low here but sec is not
-  EXPECT_TRUE(R.LevelOk[2]);  // everything low at the top
-}
-
-TEST(LatticeTest, TwoLevelsDegenerateToPlainVerification) {
-  Program P = parseChecked(R"(
-    procedure main(l: int, h: int) returns (out: int)
-    {
-      out := l;
-    }
-  )");
-  LatticeLevels L;
-  L.NumLevels = 2;
-  L.ParamLevel = {{"l", 0}, {"h", 1}};
-  L.ReturnLevel = {{"out", 0}};
-  EXPECT_TRUE(verifyLattice(P, "main", L).Ok);
-
-  Program P2 = parseChecked(R"(
-    procedure main(l: int, h: int) returns (out: int)
-    {
-      out := h;
-    }
-  )");
-  EXPECT_FALSE(verifyLattice(P2, "main", L).Ok);
-}
-
-TEST(LatticeTest, ConcurrentLatticeExample) {
-  // A shared counter receives mid-level data; its total is mid. The public
-  // output does not depend on it; the mid output does.
-  Program P = parseChecked(R"(
-    resource Counter {
-      state: int;
-      alpha(v) = v;
-      shared action Add(a: int) {
-        apply(v, a) = v + a;
-        requires low(a);
-      }
-    }
-    procedure main(pub: int, mid: int, sec: int)
-      returns (outPub: int, outMid: int)
-    {
-      share r: Counter := 0;
-      par {
-        var w: int := 0;
-        while (w < sec % 4) invariant w >= 0 { w := w + 1; }
-        atomic r { perform r.Add(mid); }
-      } and {
-        atomic r { perform r.Add(pub); }
-      }
-      outMid := unshare r;
-      outPub := pub;
-    }
-  )");
-  LatticeResult R = verifyLattice(P, "main", threeLevels());
-  EXPECT_FALSE(R.LevelOk[0]); // the Add(mid) argument is high at cutoff 0
-  EXPECT_TRUE(R.LevelOk[1]) << R.Diags.str();
-  EXPECT_TRUE(R.LevelOk[2]);
-}
-
-TEST(LatticeTest, UnknownProcedureReported) {
-  Program P = parseChecked("procedure main() { skip; }");
-  LatticeLevels L;
-  LatticeResult R = verifyLattice(P, "nope", L);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_TRUE(R.Diags.hasErrorWithCode(DiagCode::UnknownName));
 }

@@ -197,7 +197,8 @@ private:
 };
 
 std::string verifyLine(int Id, const std::string &Source,
-                       const std::string &Name, unsigned Jobs = 0) {
+                       const std::string &Name, unsigned Jobs = 0,
+                       const std::string &Proc = "") {
   JsonValue O = JsonValue::object();
   O.set("id", JsonValue::number(static_cast<uint64_t>(Id)));
   O.set("verb", JsonValue::string("verify"));
@@ -205,6 +206,8 @@ std::string verifyLine(int Id, const std::string &Source,
   O.set("name", JsonValue::string(Name));
   if (Jobs)
     O.set("jobs", JsonValue::number(static_cast<uint64_t>(Jobs)));
+  if (!Proc.empty())
+    O.set("proc", JsonValue::string(Proc));
   return O.dump();
 }
 
@@ -238,6 +241,26 @@ TEST(ServeTest, VerifyMatchesOneShotCliByteForByte) {
     EXPECT_FALSE(B.getBool("ok"));
     EXPECT_EQ(B.getU64("exit"), 1u);
     EXPECT_EQ(B.getString("report"), BadExpected) << "jobs " << Jobs;
+  }
+}
+
+TEST(ServeTest, VerifyWithProcMatchesCliNiByteForByte) {
+  // A verify request naming a proc appends the NI block: for a secure
+  // program and for one whose sweep finds a violation, the report and
+  // exit code must equal `hyperviper --ni main`.
+  ServerProc Server;
+  Client C(Server.port());
+  int Id = 0;
+  for (const char *Name : {"figure1.hv", "broken/counter_high_arg.hv"}) {
+    const std::string Path = example(Name);
+    const std::string Expected = cliOutput("--jobs 1 --ni main " + Path);
+    ASSERT_NE(Expected.find("empirical non-interference"), std::string::npos)
+        << Expected;
+    const bool Secure = Expected.find("VIOLATION") == std::string::npos;
+    JsonValue R = C.rpc(verifyLine(++Id, slurp(Path), Path, 1, "main"));
+    EXPECT_EQ(R.getString("report"), Expected) << Name;
+    EXPECT_EQ(R.getBool("ok"), Secure) << Name;
+    EXPECT_EQ(R.getU64("exit"), Secure ? 0u : 1u) << Name;
   }
 }
 
@@ -423,6 +446,17 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
   JsonValue NoSource = C.rpc(R"({"id":2,"verb":"verify"})");
   ASSERT_NE(NoSource.find("error"), nullptr);
   EXPECT_EQ(NoSource.find("error")->getString("type"), "bad-request");
+
+  // Values too large for the field are refused, not narrowed (which made
+  // jobs 2^32 mean "session default" and seeds 2^32+1 run one seed).
+  for (const char *Line :
+       {R"({"id":3,"verb":"verify","source":"procedure main() { skip; }",)"
+        R"("jobs":4294967296})",
+        R"({"id":4,"verb":"fuzz","seeds":4294967297})"}) {
+    JsonValue Big = C.rpc(Line);
+    ASSERT_NE(Big.find("error"), nullptr) << Line;
+    EXPECT_EQ(Big.find("error")->getString("type"), "bad-request") << Line;
+  }
 }
 
 TEST(ServeTest, ShutdownVerbDrainsAndExitsZero) {

@@ -16,7 +16,7 @@
 
 #include "hyperviper/Driver.h"
 
-#include "logic/Assertion.h"
+#include "rspec/RSpec.h"
 #include "sem/Scheduler.h"
 #include "tests/common/TestUtil.h"
 

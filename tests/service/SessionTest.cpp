@@ -158,15 +158,19 @@ TEST(SessionTest, ConcurrentClientsGetIdenticalReports) {
 }
 
 TEST(SessionTest, LruEvictsStalestProgram) {
-  SessionOptions Opts;
-  Opts.MaxCachedPrograms = 1;
-  Session S(Opts);
-  S.handle(verifyRequest(VerifiedProgram, "a.hv"));
-  S.handle(verifyRequest(RejectedProgram, "b.hv")); // evicts a.hv
-  EXPECT_EQ(S.stats().ProgramsCached, 1u);
-  ServiceResponse Again = S.handle(verifyRequest(VerifiedProgram, "a.hv"));
-  EXPECT_FALSE(Again.ProgramCacheHit); // was evicted, re-parsed
-  EXPECT_TRUE(Again.Ok);
+  // Capacity 0 caches nothing: every request parses afresh, and the
+  // request that triggered the eviction still gets its answer.
+  for (size_t Capacity : {1u, 0u}) {
+    SessionOptions Opts;
+    Opts.MaxCachedPrograms = Capacity;
+    Session S(Opts);
+    EXPECT_TRUE(S.handle(verifyRequest(VerifiedProgram, "a.hv")).Ok);
+    S.handle(verifyRequest(RejectedProgram, "b.hv")); // evicts a.hv
+    EXPECT_EQ(S.stats().ProgramsCached, Capacity);
+    ServiceResponse Again = S.handle(verifyRequest(VerifiedProgram, "a.hv"));
+    EXPECT_FALSE(Again.ProgramCacheHit) << Capacity; // evicted, re-parsed
+    EXPECT_TRUE(Again.Ok) << Capacity;
+  }
 }
 
 TEST(SessionTest, ValidityVerbReportsPerSpecVerdicts) {

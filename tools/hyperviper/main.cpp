@@ -37,7 +37,8 @@
 /// independent checker (src/cert/) — no solver or verifier code runs.
 /// Prints `<cert>: OK` or `<cert>: INVALID (<reason>)`; exit 0/1.
 ///
-/// Observability options (accepted by every subcommand):
+/// Observability options (accepted by verify, analyze, fuzz, and serve;
+/// check-cert and suggest-spec reject them):
 ///   --trace <FILE>         record scoped spans into FILE as Chrome
 ///                          trace-event JSON (load in Perfetto or
 ///                          chrome://tracing); see README "Profiling"
@@ -47,7 +48,10 @@
 ///
 /// `--jobs` is parsed identically everywhere: a positive decimal integer,
 /// no sign, no trailing junk (`4x`), no overflow; anything else is a
-/// consistent `invalid --jobs value` error with exit code 2.
+/// consistent `invalid --jobs value` error with exit code 2. Omitting it
+/// means every hardware thread. Other numeric options are as strict: a
+/// value that is malformed or does not fit the setting is an `invalid
+/// <option> value` error with exit code 2, never a silent default.
 ///
 /// Analysis subcommand: `hyperviper analyze [options] file-or-dir ...`
 /// runs the static information-flow pre-analysis (CFG + taint + lints,
@@ -115,6 +119,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,9 +128,10 @@ using namespace commcsl;
 
 namespace {
 
-/// Observability flags shared by every subcommand. `parseFlag` consumes
-/// `--trace` / `--metrics-json` (returning true), `finish` writes the
-/// requested files after the verb's work is done.
+/// Observability flags shared by the verify, analyze, fuzz, and serve
+/// subcommands. `parseFlag` consumes `--trace` / `--metrics-json`
+/// (returning true), `finish` writes the requested files after the verb's
+/// work is done.
 struct Observability {
   std::string Sub; ///< subcommand label for error messages
   std::string TracePath;
@@ -201,19 +207,47 @@ unsigned requireJobs(const char *Sub, int Argc, char **Argv, int &I) {
 }
 
 /// Strict unsigned option value (same contract as --jobs but 0 allowed),
-/// for campaign sizes and budgets.
+/// for campaign sizes and budgets. A value above \p Max, the range of the
+/// field the option sets, is rejected rather than truncated.
 uint64_t requireUnsigned(const char *Sub, const char *Flag, int Argc,
-                         char **Argv, int &I) {
+                         char **Argv, int &I,
+                         uint64_t Max = std::numeric_limits<uint64_t>::max()) {
   const char *Value = requireValue(Sub, Flag, Argc, Argv, I);
   std::optional<uint64_t> V = parseUnsigned64(Value);
-  if (!V) {
+  if (!V || *V > Max) {
     std::fprintf(stderr,
-                 "%s: error: invalid %s value '%s' (expected a "
-                 "non-negative integer)\n",
-                 Sub, Flag, Value);
+                 "%s: error: invalid %s value '%s' (expected an integer "
+                 "from 0 to %llu)\n",
+                 Sub, Flag, Value, static_cast<unsigned long long>(Max));
     std::exit(2);
   }
   return *V;
+}
+
+/// requireUnsigned for an option that sets an `unsigned` field.
+unsigned requireUnsigned32(const char *Sub, const char *Flag, int Argc,
+                           char **Argv, int &I) {
+  return static_cast<unsigned>(requireUnsigned(
+      Sub, Flag, Argc, Argv, I, std::numeric_limits<unsigned>::max()));
+}
+
+/// Strict seconds value: digits with at most one decimal point (`30`,
+/// `0.5`). Signs, exponents, and junk exit 2 like every bad value.
+double requireSeconds(const char *Sub, const char *Flag, int Argc,
+                      char **Argv, int &I) {
+  const char *Value = requireValue(Sub, Flag, Argc, Argv, I);
+  std::string S = Value;
+  size_t Dot = S.find('.');
+  if (S.find_first_not_of("0123456789.") != std::string::npos ||
+      S.find_first_of("0123456789") == std::string::npos ||
+      (Dot != std::string::npos && S.find('.', Dot + 1) != std::string::npos)) {
+    std::fprintf(stderr,
+                 "%s: error: invalid %s value '%s' (expected a "
+                 "non-negative number of seconds)\n",
+                 Sub, Flag, Value);
+    std::exit(2);
+  }
+  return std::strtod(Value, nullptr);
 }
 
 int runFuzz(int Argc, char **Argv) {
@@ -227,19 +261,17 @@ int runFuzz(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Obs.parseFlag(Arg, Argc, Argv, I)) {
     } else if (Arg == "--seeds") {
-      Config.NumSeeds =
-          static_cast<unsigned>(requireUnsigned(Sub, "--seeds", Argc, Argv, I));
+      Config.NumSeeds = requireUnsigned32(Sub, "--seeds", Argc, Argv, I);
     } else if (Arg == "--base-seed") {
       Config.BaseSeed = requireUnsigned(Sub, "--base-seed", Argc, Argv, I);
     } else if (Arg == "--jobs") {
       Config.Jobs = requireJobs(Sub, Argc, Argv, I);
     } else if (Arg == "--time-budget") {
       Config.TimeBudgetSeconds =
-          std::strtod(requireValue(Sub, "--time-budget", Argc, Argv, I),
-                      nullptr);
+          requireSeconds(Sub, "--time-budget", Argc, Argv, I);
     } else if (Arg == "--target-statements") {
-      Config.Gen.TargetStatements = static_cast<unsigned>(
-          requireUnsigned(Sub, "--target-statements", Argc, Argv, I));
+      Config.Gen.TargetStatements =
+          requireUnsigned32(Sub, "--target-statements", Argc, Argv, I);
     } else if (Arg == "--no-concurrency") {
       Config.Gen.EnableConcurrency = false;
     } else if (Arg == "--no-collections") {
@@ -255,8 +287,8 @@ int runFuzz(int Argc, char **Argv) {
     } else if (Arg == "--no-shrink") {
       Config.ShrinkFindings = false;
     } else if (Arg == "--shrink-budget") {
-      Config.Shrink.MaxOracleRuns = static_cast<unsigned>(
-          requireUnsigned(Sub, "--shrink-budget", Argc, Argv, I));
+      Config.Shrink.MaxOracleRuns =
+          requireUnsigned32(Sub, "--shrink-budget", Argc, Argv, I);
     } else if (Arg == "--corpus-dir") {
       CorpusDir = requireValue(Sub, "--corpus-dir", Argc, Argv, I);
     } else if (Arg == "--report") {
@@ -529,17 +561,16 @@ int runSuggestSpec(int Argc, char **Argv) {
   const char *Sub = "hyperviper suggest-spec";
   std::string OnlySpec;
   SuggestOptions Options;
+  Options.Jobs = 0; // as in every verb: no --jobs = every hardware thread
   std::vector<std::string> Inputs;
   for (int I = 0; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--spec") {
       OnlySpec = requireValue(Sub, "--spec", Argc, Argv, I);
     } else if (Arg == "--max") {
-      Options.MaxCandidates = static_cast<unsigned>(
-          requireUnsigned(Sub, "--max", Argc, Argv, I));
+      Options.MaxCandidates = requireUnsigned32(Sub, "--max", Argc, Argv, I);
     } else if (Arg == "--jobs") {
-      Options.Jobs = static_cast<unsigned>(
-          requireUnsigned(Sub, "--jobs", Argc, Argv, I));
+      Options.Jobs = requireJobs(Sub, Argc, Argv, I);
     } else if (Arg == "--help" || Arg == "-h") {
       std::printf(
           "usage: hyperviper suggest-spec [--spec NAME] [--max N] "
@@ -549,9 +580,9 @@ int runSuggestSpec(int Argc, char **Argv) {
           "products, the constant abstraction) and candidate `low(arg)`\n"
           "precondition strengthenings, runs the validity tiers on each,\n"
           "and prints them ranked: unbounded differencing proofs first,\n"
-          "then bounded-evidence validity. --max 0 lifts the candidate cap;\n"
-          "--jobs 0 uses every hardware thread. The report is byte-identical\n"
-          "at any job count. Deterministic.\n");
+          "then bounded-evidence validity. --max 0 lifts the candidate cap.\n"
+          "--jobs defaults to every hardware thread; the report is\n"
+          "byte-identical at any job count. Deterministic.\n");
       return 0;
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "%s: error: unknown option '%s'\n", Sub,
@@ -701,8 +732,7 @@ int runVerify(int Argc, char **Argv) {
       if (!Quiet)
         std::fputs(R.Diags.str(Display).c_str(), stderr);
     }
-    std::printf("%s: %s\n", Display.c_str(),
-                R.Verified ? "verified" : "REJECTED");
+    std::fputs(formatVerdictLine(Display, R.Verified).c_str(), stdout);
     if (!CertPath.empty()) {
       if (R.Cert.empty()) {
         std::fprintf(stderr,
@@ -741,23 +771,14 @@ int runVerify(int Argc, char **Argv) {
     }
     if (!NIProc.empty() && R.ParseOk) {
       NIReport Report = D.runEmpirical(R, NIProc);
-      if (Report.secure()) {
-        std::printf("  empirical non-interference: no violation in %llu "
-                    "runs (%llu pairs)\n",
-                    static_cast<unsigned long long>(Report.Runs),
-                    static_cast<unsigned long long>(Report.PairsCompared));
-        if (PrintMetrics)
-          std::printf("  ni memo: %llu hits  %llu misses  %llu entries\n",
-                      static_cast<unsigned long long>(Report.Cache.hits()),
-                      static_cast<unsigned long long>(Report.Cache.misses()),
-                      static_cast<unsigned long long>(Report.Cache.Entries));
-      } else {
-        std::printf("  empirical non-interference: VIOLATION after %llu "
-                    "runs\n%s",
-                    static_cast<unsigned long long>(Report.Runs),
-                    Report.Violation->describe().c_str());
+      std::fputs(formatNIBlock(Report).c_str(), stdout);
+      if (!Report.secure())
         Exit = 1;
-      }
+      else if (PrintMetrics)
+        std::printf("  ni memo: %llu hits  %llu misses  %llu entries\n",
+                    static_cast<unsigned long long>(Report.Cache.hits()),
+                    static_cast<unsigned long long>(Report.Cache.misses()),
+                    static_cast<unsigned long long>(Report.Cache.Entries));
     }
   }
   if (!Obs.finish())
