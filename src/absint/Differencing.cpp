@@ -6,6 +6,8 @@
 
 #include "absint/Differencing.h"
 
+#include "lang/ExprEval.h"
+
 #include <algorithm>
 #include <functional>
 
@@ -47,13 +49,58 @@ const PairAbs *SpecAbsResult::pair(const std::string &A,
 // Expression translation
 //===----------------------------------------------------------------------===//
 
+const ATerm *commcsl::absint::translateUnary(TermFactory &F, UnaryOp Op,
+                                             const ATerm *A) {
+  // vops::neg wraps like multiplication by -1 does.
+  return Op == UnaryOp::Neg ? F.mul2(F.intConst(-1), A) : F.notT(A);
+}
+
+const ATerm *commcsl::absint::translateBinary(TermFactory &F, BinaryOp Op,
+                                              const ATerm *A,
+                                              const ATerm *B) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return F.add2(A, B);
+  case BinaryOp::Sub:
+    return F.add2(A, F.mul2(F.intConst(-1), B));
+  case BinaryOp::Mul:
+    return F.mul2(A, B);
+  case BinaryOp::Div:
+    return F.app(AOp::Div, {A, B});
+  case BinaryOp::Mod:
+    return F.app(AOp::Mod, {A, B});
+  case BinaryOp::Eq:
+    return F.eq(A, B);
+  case BinaryOp::Ne:
+    return F.notT(F.eq(A, B));
+  case BinaryOp::Lt:
+    return F.app(AOp::Lt, {A, B});
+  case BinaryOp::Le:
+    return F.app(AOp::Le, {A, B});
+  case BinaryOp::Gt:
+    return F.app(AOp::Lt, {B, A});
+  case BinaryOp::Ge:
+    return F.app(AOp::Le, {B, A});
+  case BinaryOp::And:
+    return F.app(AOp::And, {A, B});
+  case BinaryOp::Or:
+    return F.app(AOp::Or, {A, B});
+  case BinaryOp::Implies:
+    return F.app(AOp::Or, {F.notT(A), B});
+  }
+  return nullptr;
+}
+
 namespace {
+
+bool isPartial(BuiltinKind B) {
+  return B == BuiltinKind::SeqAt || B == BuiltinKind::SeqHead ||
+         B == BuiltinKind::SeqLast || B == BuiltinKind::MapGet;
+}
 
 const ATerm *trExpr(TermFactory &F, const Expr &E,
                     const std::map<std::string, const ATerm *> &Env,
-                    const Program *Prog, unsigned Depth) {
-  if (Depth > 32)
-    return nullptr;
+                    const Program *Prog) {
   switch (E.Kind) {
   case ExprKind::IntLit:
     return F.intConst(E.IntVal);
@@ -65,63 +112,42 @@ const ATerm *trExpr(TermFactory &F, const Expr &E,
     return F.unitConst();
   case ExprKind::Var: {
     auto It = Env.find(E.Name);
-    return It == Env.end() ? nullptr : It->second;
+    if (It != Env.end())
+      return It->second;
+    // Uninitialized variables evaluate to a default (total semantics).
+    return E.Ty ? F.constant(E.Ty->defaultValue()) : nullptr;
   }
   case ExprKind::Unary: {
-    const ATerm *A = trExpr(F, *E.Args[0], Env, Prog, Depth);
-    if (!A)
-      return nullptr;
-    // vops::neg wraps like multiplication by -1 does.
-    return E.UOp == UnaryOp::Neg ? F.mul2(F.intConst(-1), A) : F.notT(A);
+    const ATerm *A = trExpr(F, *E.Args[0], Env, Prog);
+    return A ? translateUnary(F, E.UOp, A) : nullptr;
   }
   case ExprKind::Binary: {
-    const ATerm *A = trExpr(F, *E.Args[0], Env, Prog, Depth);
-    const ATerm *B = A ? trExpr(F, *E.Args[1], Env, Prog, Depth) : nullptr;
-    if (!B)
-      return nullptr;
-    switch (E.BOp) {
-    case BinaryOp::Add:
-      return F.add2(A, B);
-    case BinaryOp::Sub:
-      return F.add2(A, F.mul2(F.intConst(-1), B));
-    case BinaryOp::Mul:
-      return F.mul2(A, B);
-    case BinaryOp::Div:
-      return F.app(AOp::Div, {A, B});
-    case BinaryOp::Mod:
-      return F.app(AOp::Mod, {A, B});
-    case BinaryOp::Eq:
-      return F.eq(A, B);
-    case BinaryOp::Ne:
-      return F.notT(F.eq(A, B));
-    case BinaryOp::Lt:
-      return F.app(AOp::Lt, {A, B});
-    case BinaryOp::Le:
-      return F.app(AOp::Le, {A, B});
-    case BinaryOp::Gt:
-      return F.app(AOp::Lt, {B, A});
-    case BinaryOp::Ge:
-      return F.app(AOp::Le, {B, A});
-    case BinaryOp::And:
-      return F.app(AOp::And, {A, B});
-    case BinaryOp::Or:
-      return F.app(AOp::Or, {A, B});
-    case BinaryOp::Implies:
-      return F.app(AOp::Or, {F.notT(A), B});
-    }
-    return nullptr;
+    const ATerm *A = trExpr(F, *E.Args[0], Env, Prog);
+    const ATerm *B = A ? trExpr(F, *E.Args[1], Env, Prog) : nullptr;
+    return B ? translateBinary(F, E.BOp, A, B) : nullptr;
   }
   case ExprKind::Builtin: {
     std::vector<const ATerm *> Args;
     Args.reserve(E.Args.size());
     for (const ExprRef &Arg : E.Args) {
-      const ATerm *T = trExpr(F, *Arg, Env, Prog, Depth);
+      const ATerm *T = trExpr(F, *Arg, Env, Prog);
       if (!T)
         return nullptr;
       Args.push_back(T);
     }
     if (E.Builtin == BuiltinKind::Ite && Args.size() == 3)
       return F.ite(Args[0], Args[1], Args[2]);
+    if (E.Ty && isPartial(E.Builtin) &&
+        std::all_of(Args.begin(), Args.end(),
+                    [](const ATerm *A) { return A->isConst(); })) {
+      // Totalize an undefined partial builtin the way the evaluator does;
+      // only translation knows the result type. Defined applications are
+      // left to the normalizer's constant folding.
+      std::vector<ValueRef> Vals;
+      for (const ATerm *A : Args)
+        Vals.push_back(A->Val);
+      return F.constant(applyBuiltinOp(E.Builtin, Vals, E.Ty));
+    }
     return F.bi(E.Builtin, std::move(Args));
   }
   case ExprKind::Call: {
@@ -130,12 +156,12 @@ const ATerm *trExpr(TermFactory &F, const Expr &E,
       return nullptr;
     std::map<std::string, const ATerm *> Inner;
     for (size_t I = 0; I < E.Args.size(); ++I) {
-      const ATerm *T = trExpr(F, *E.Args[I], Env, Prog, Depth);
+      const ATerm *T = trExpr(F, *E.Args[I], Env, Prog);
       if (!T)
         return nullptr;
       Inner[Fn->Params[I].Name] = T;
     }
-    return trExpr(F, *Fn->Body, Inner, Prog, Depth + 1);
+    return trExpr(F, *Fn->Body, Inner, Prog);
   }
   }
   return nullptr;
@@ -146,7 +172,7 @@ const ATerm *trExpr(TermFactory &F, const Expr &E,
 const ATerm *commcsl::absint::translateExpr(
     TermFactory &F, const Expr &E,
     const std::map<std::string, const ATerm *> &Env, const Program *Prog) {
-  return trExpr(F, E, Env, Prog, 0);
+  return trExpr(F, E, Env, Prog);
 }
 
 std::vector<const ATerm *> commcsl::absint::pairComps(const ATerm *T) {
@@ -411,10 +437,7 @@ private:
   /// the caller either way.
   static bool isDecided(const ATerm *T) {
     switch (T->K) {
-    case AOp::IntConst:
-    case AOp::BoolConst:
-    case AOp::StrConst:
-    case AOp::UnitConst:
+    case AOp::Const:
     case AOp::Sym:
       break;
     case AOp::Add:

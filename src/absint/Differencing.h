@@ -142,12 +142,25 @@ SpecAbsResult analyzeSpec(const ResourceSpecDecl &Spec, const Program *Prog,
 // trusting the analysis run.
 //===----------------------------------------------------------------------===//
 
-/// Translates a surface expression to a term. `Env` maps free variable
-/// names to terms; user function calls are inlined through \p Prog.
-/// Returns null on unsupported input (never throws).
+/// Translates a surface expression to a (raw, unnormalized) term: the one
+/// expression-to-term translation, shared by the verifier and this tier.
+/// `Env` maps free variable names to terms; unbound typed variables take
+/// their type's default value and undefined partial builtins on constants
+/// are totalized by type, both as in the concrete evaluator. User function
+/// calls are inlined through \p Prog without a depth limit (the type checker
+/// rejects recursion). Returns null on unsupported input (an untyped
+/// unbound variable, a call without its function); never throws.
 const ATerm *translateExpr(TermFactory &F, const Expr &E,
                            const std::map<std::string, const ATerm *> &Env,
                            const Program *Prog);
+
+/// The term for a surface unary/binary operator applied to translated
+/// operands, as `translateExpr` builds it: `a - b` is `a + (-1)*b`, `>`/`>=`
+/// swap their operands into `<`/`<=`, `!=` is `!(a == b)`, and `==>` is
+/// `!a || b`.
+const ATerm *translateUnary(TermFactory &F, UnaryOp Op, const ATerm *A);
+const ATerm *translateBinary(TermFactory &F, BinaryOp Op, const ATerm *A,
+                             const ATerm *B);
 
 /// Splits a (normalized) term into its pair-tree components, left to right.
 std::vector<const ATerm *> pairComps(const ATerm *T);

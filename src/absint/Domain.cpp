@@ -128,36 +128,41 @@ void LinForm::add(const LinForm &O, int64_t Scale) {
   }
 }
 
-LinForm commcsl::absint::linearize(const ATerm *T) {
+LinForm commcsl::absint::linearize(TermFactory &F, const ATerm *T) {
   LinForm L;
   switch (T->K) {
-  case AOp::IntConst:
-    L.Const = T->IntVal;
+  case AOp::Const:
+    if (!T->isIntConst())
+      break;
+    L.Const = T->intVal();
     return L;
   case AOp::Add:
     for (const ATerm *Kid : T->Kids)
-      L.add(linearize(Kid), 1);
+      L.add(linearize(F, Kid), 1);
     return L;
-  case AOp::Mul:
+  case AOp::Mul: {
     // Canonical Mul keeps a constant factor first when present.
-    if (T->Kids.size() >= 2 && T->Kids[0]->K == AOp::IntConst) {
-      const ATerm *Rest;
-      if (T->Kids.size() == 2) {
-        Rest = T->Kids[1];
-      } else {
-        L.Coeffs[T] = 1; // non-linear beyond const * atom
-        return L;
-      }
-      LinForm Inner = linearize(Rest);
-      L.add(Inner, T->Kids[0]->IntVal);
+    const auto &K = T->Kids;
+    if (K.size() >= 2 && K[0]->isIntConst()) {
+      const ATerm *Rest =
+          K.size() == 2
+              ? K[1]
+              : F.app(AOp::Mul, std::vector<const ATerm *>(K.begin() + 1,
+                                                           K.end()));
+      L.add(linearize(F, Rest), K[0]->intVal());
       return L;
     }
-    L.Coeffs[T] = 1;
-    return L;
-  default:
-    L.Coeffs[T] = 1;
-    return L;
+    if (K.size() == 2 && K[1]->isIntConst()) {
+      L.add(linearize(F, K[0]), K[1]->intVal());
+      return L;
+    }
+    break;
   }
+  default:
+    break;
+  }
+  L.Coeffs[T] = 1;
+  return L;
 }
 
 //===----------------------------------------------------------------------===//
@@ -196,8 +201,8 @@ bool FactCtx::addEq(const ATerm *A, const ATerm *B) {
     std::swap(From, To);
   Rewrites[From] = To;
   // Numeric content: from == to, i.e. from - to ∈ [0, 0].
-  LinForm D = linearize(From);
-  D.add(linearize(To), -1);
+  LinForm D = linearize(F, From);
+  D.add(linearize(F, To), -1);
   if (!D.isConst()) {
     LinForm Neg;
     Neg.add(D, -1);
@@ -221,8 +226,8 @@ bool FactCtx::addBool(const ATerm *T, bool Truth) {
   // Push negations inward so the stored fact is positive.
   if (T->K == AOp::Not)
     return addBool(T->Kids[0], !Truth);
-  if (T->K == AOp::BoolConst) {
-    if (T->BoolVal != Truth)
+  if (T->isConst()) {
+    if (!T->isBool(Truth))
       Infeasible = true;
     return !Infeasible;
   }
@@ -253,13 +258,13 @@ bool FactCtx::addBool(const ATerm *T, bool Truth) {
     bool Strict = T->K == AOp::Lt;
     LinForm D;
     if (Truth) {
-      D = linearize(A);
-      D.add(linearize(B), -1);
+      D = linearize(F, A);
+      D.add(linearize(F, B), -1);
       D.Const = satAdd(D.Const, Strict ? 1 : 0); // A - B + strict <= 0
     } else {
       // !(A < B) == B <= A;  !(A <= B) == B < A.
-      D = linearize(B);
-      D.add(linearize(A), -1);
+      D = linearize(F, B);
+      D.add(linearize(F, A), -1);
       D.Const = satAdd(D.Const, Strict ? 0 : 1);
     }
     if (D.isConst()) {
@@ -276,8 +281,8 @@ bool FactCtx::addBool(const ATerm *T, bool Truth) {
 }
 
 Interval FactCtx::boundOf(const ATerm *Atom) const {
-  if (Atom->K == AOp::IntConst)
-    return Interval::point(Atom->IntVal);
+  if (Atom->isIntConst())
+    return Interval::point(Atom->intVal());
   auto It = Bounds.find(Atom);
   return It == Bounds.end() ? Interval::top() : It->second;
 }
@@ -414,7 +419,9 @@ AbsVal FactCtx::absOfLin(const LinForm &L) const {
   return V;
 }
 
-AbsVal FactCtx::absOf(const ATerm *T) const { return absOfLin(linearize(T)); }
+AbsVal FactCtx::absOf(const ATerm *T) const {
+  return absOfLin(linearize(F, T));
+}
 
 Tri FactCtx::decideEq(const ATerm *A, const ATerm *B) const {
   if (A == B)
@@ -424,12 +431,8 @@ Tri FactCtx::decideEq(const ATerm *A, const ATerm *B) const {
   if ((RA ? RA : A) == (RB ? RB : B))
     return Tri::True;
   // Distinct constants.
-  if (A->K == AOp::IntConst && B->K == AOp::IntConst)
-    return triOf(A->IntVal == B->IntVal);
-  if (A->K == AOp::BoolConst && B->K == AOp::BoolConst)
-    return triOf(A->BoolVal == B->BoolVal);
-  if (A->K == AOp::StrConst && B->K == AOp::StrConst)
-    return triOf(A->Str == B->Str);
+  if (A->isConst() && B->isConst())
+    return triOf(Value::equal(A->Val, B->Val));
   // Pair congruence: equal iff both components equal.
   if (A->K == AOp::Bi && B->K == AOp::Bi &&
       A->B == BuiltinKind::PairMk && B->B == BuiltinKind::PairMk) {
@@ -451,8 +454,8 @@ Tri FactCtx::decideEq(const ATerm *A, const ATerm *B) const {
         return Tri::False;
   }
   // Numeric difference: interval excluding zero, or odd parity.
-  LinForm D = linearize(A);
-  D.add(linearize(B), -1);
+  LinForm D = linearize(F, A);
+  D.add(linearize(F, B), -1);
   if (D.isConst())
     return triOf(D.Const == 0);
   // Octagon lookup for a pure two-atom difference.
@@ -480,26 +483,79 @@ Tri FactCtx::decideEq(const ATerm *A, const ATerm *B) const {
   return Tri::Unknown;
 }
 
-Tri FactCtx::decideCmp(const ATerm *A, const ATerm *B, bool Strict) const {
-  LinForm D = linearize(A);
-  D.add(linearize(B), -1); // A - B
-  if (D.isConst())
-    return triOf(Strict ? D.Const < 0 : D.Const <= 0);
-  Interval Iv;
-  bool Have = false;
-  if (D.Coeffs.size() == 2) {
-    auto It = D.Coeffs.begin();
-    auto [A1, C1] = *It++;
-    auto [A2, C2] = *It;
-    if (C1 == 1 && C2 == -1) {
-      if (auto DB = diffBound(A1, A2)) {
-        Iv = Interval::add(*DB, Interval::point(D.Const));
-        Have = true;
-      }
-    }
+namespace {
+
+/// An interval over 128-bit integers: linear forms over int64 atoms are
+/// evaluated here without overflow. A product bound beyond +-2^100 counts
+/// as unbounded, which keeps every sum of such products far from overflow.
+struct WideIv {
+  bool LoInf = false, HiInf = false;
+  __int128 Lo = 0, Hi = 0;
+
+  static constexpr __int128 Cap = static_cast<__int128>(1) << 100;
+
+  void addScaled(const Interval &Iv, __int128 C) {
+    bool NLoInf = C > 0 ? Iv.LoInf : Iv.HiInf;
+    bool NHiInf = C > 0 ? Iv.HiInf : Iv.LoInf;
+    __int128 NLo = C * (C > 0 ? Iv.Lo : Iv.Hi);
+    __int128 NHi = C * (C > 0 ? Iv.Hi : Iv.Lo);
+    LoInf = LoInf || NLoInf || NLo < -Cap || NLo > Cap;
+    HiInf = HiInf || NHiInf || NHi < -Cap || NHi > Cap;
+    if (!LoInf)
+      Lo += NLo;
+    if (!HiInf)
+      Hi += NHi;
   }
-  if (!Have)
-    Iv = absOfLin(D).Iv;
+};
+
+using WideCoeffs =
+    std::map<const ATerm *, __int128, bool (*)(const ATerm *, const ATerm *)>;
+
+/// An int atom's value lies in int64 whatever the facts say.
+Interval int64Bounds(Interval Iv) {
+  Iv.meet({false, false, INT64_MIN, INT64_MAX});
+  return Iv;
+}
+
+} // namespace
+
+bool FactCtx::wrapFree(const LinForm &L) const {
+  WideIv Iv{false, false, L.Const, L.Const};
+  for (const auto &[Atom, C] : L.Coeffs)
+    Iv.addScaled(int64Bounds(boundOf(Atom)), C);
+  return !Iv.LoInf && !Iv.HiInf && Iv.Lo >= INT64_MIN && Iv.Hi <= INT64_MAX;
+}
+
+Tri FactCtx::decideCmp(const ATerm *A, const ATerm *B, bool Strict) const {
+  // Ints wrap (vops::add), so a linear form equals its term only modulo
+  // 2^64: `h + 1 <= h` holds at h = INT64_MAX. The difference A - B
+  // decides the order only when neither side can wrap, that is when each
+  // side's value over the integers is known to fit in int64 (then the
+  // wrapped value is that value). A difference that is identically zero is
+  // the exception: A and B are then equal as wrapped ints too.
+  LinForm LA = linearize(F, A), LB = linearize(F, B);
+  WideCoeffs D(LA.Coeffs.key_comp());
+  for (const auto &[Atom, C] : LA.Coeffs)
+    D[Atom] += C;
+  for (const auto &[Atom, C] : LB.Coeffs)
+    if ((D[Atom] -= C) == 0)
+      D.erase(Atom);
+  __int128 DConst = static_cast<__int128>(LA.Const) - LB.Const;
+  if (D.empty() && DConst == 0)
+    return triOf(!Strict);
+  if (!wrapFree(LA) || !wrapFree(LB))
+    return Tri::Unknown;
+  WideIv Iv{false, false, DConst, DConst};
+  std::optional<Interval> DB;
+  if (D.size() == 2 && D.begin()->second == 1 &&
+      std::next(D.begin())->second == -1)
+    DB = diffBound(D.begin()->first, std::next(D.begin())->first);
+  if (DB) {
+    Iv.addScaled(*DB, 1);
+  } else {
+    for (const auto &[Atom, C] : D)
+      Iv.addScaled(int64Bounds(boundOf(Atom)), C);
+  }
   // A - B ∈ Iv; decide Iv vs 0.
   if (!Iv.HiInf && (Strict ? Iv.Hi < 0 : Iv.Hi <= 0))
     return Tri::True;

@@ -93,9 +93,8 @@ struct AbsVal {
 };
 
 /// A linear form c0 + Σ ci·atom_i over interned atom terms. Coefficients
-/// use wrap-around arithmetic like the concrete evaluator; the `Exact` flag
-/// drops when a non-linear subterm had to be treated as an opaque atom that
-/// might itself overflow during concrete evaluation.
+/// use wrap-around arithmetic like the concrete evaluator, so a form equals
+/// its term modulo 2^64; over the integers it may differ (FactCtx::wrapFree).
 struct LinForm {
   int64_t Const = 0;
   /// Atom -> coefficient, keyed and ordered structurally.
@@ -109,9 +108,14 @@ struct LinForm {
   void add(const LinForm &O, int64_t Scale);
 };
 
-/// Linearizes an integer term: Add/Mul-by-const are decomposed, everything
-/// else becomes an atom with coefficient 1.
-LinForm linearize(const ATerm *T);
+/// Linearizes an integer term: sums are decomposed, a product with a
+/// constant factor (`c*t`, `t*c`, or `c*k1*...*kn`) scales the
+/// linearization of the remaining factors, and everything else becomes an
+/// atom with coefficient 1. The verifier's solver maps these atoms to
+/// congruence classes; its decomposition must match the certificate
+/// checker's over binary chains, which is why a constant on the right of a
+/// binary (raw) product also counts.
+LinForm linearize(TermFactory &F, const ATerm *T);
 
 /// One proof branch's fact store.
 class FactCtx {
@@ -133,7 +137,9 @@ public:
   std::optional<bool> boolFact(const ATerm *T) const;
 
   Tri decideEq(const ATerm *A, const ATerm *B) const;
-  /// decideCmp(A, B, Strict): A < B (strict) or A <= B.
+  /// decideCmp(A, B, Strict): A < B (strict) or A <= B, as wrapped int64
+  /// values. Unknown when the sides differ and one of them might wrap
+  /// (see wrapFree).
   Tri decideCmp(const ATerm *A, const ATerm *B, bool Strict) const;
 
   AbsVal absOf(const ATerm *T) const;
@@ -150,6 +156,11 @@ private:
   void propagate();
   Interval boundOf(const ATerm *Atom) const;
   std::optional<Interval> diffBound(const ATerm *A, const ATerm *B) const;
+  /// True when the term \p L linearizes is known to evaluate without
+  /// wrapping: the form's value over the integers, with every atom in int64
+  /// and within its fact bounds, fits in int64 (a constant or a bare atom
+  /// always does).
+  bool wrapFree(const LinForm &L) const;
 
   TermFactory &F;
   std::map<const ATerm *, const ATerm *> Rewrites; // larger -> smaller

@@ -6,6 +6,9 @@
 
 #include "absint/Normalize.h"
 
+#include "lang/ExprEval.h"
+#include "value/ValueOps.h"
+
 #include <algorithm>
 #include <functional>
 
@@ -16,6 +19,40 @@ namespace {
 
 bool isB(const ATerm *T, BuiltinKind B) {
   return T->K == AOp::Bi && T->B == B;
+}
+
+/// An empty collection constant of kind \p VK. (Nullary builtins such as
+/// `seq_empty()` are ground, so normal forms only ever hold the constant.)
+bool isEmpty(const ATerm *T, ValueKind VK) {
+  return T->isConst() && T->Val->kind() == VK &&
+         (VK == ValueKind::Map ? T->Val->mapEntries().size() == 0
+                               : T->Val->elems().empty());
+}
+
+/// Evaluates a builtin over constant arguments through the concrete
+/// operation library. Partial builtins fold only where they are defined:
+/// totalizing needs the result type, which only translation knows.
+std::optional<ValueRef> foldGround(BuiltinKind B,
+                                   const std::vector<const ATerm *> &Kids) {
+  std::vector<ValueRef> Args;
+  Args.reserve(Kids.size());
+  for (const ATerm *Kid : Kids) {
+    if (!Kid->isConst())
+      return std::nullopt;
+    Args.push_back(Kid->Val);
+  }
+  switch (B) {
+  case BuiltinKind::SeqAt:
+    return vops::seqAt(Args[0], Args[1]->getInt());
+  case BuiltinKind::SeqHead:
+    return vops::seqHead(Args[0]);
+  case BuiltinKind::SeqLast:
+    return vops::seqLast(Args[0]);
+  case BuiltinKind::MapGet:
+    return vops::mapGet(Args[0], Args[1]);
+  default:
+    return applyBuiltinOp(B, Args, nullptr);
+  }
 }
 
 bool structLess(const ATerm *A, const ATerm *B) {
@@ -32,19 +69,26 @@ int64_t wrapMul(int64_t A, int64_t B) {
   return static_cast<int64_t>(static_cast<uint64_t>(A) *
                               static_cast<uint64_t>(B));
 }
-int64_t wrapNeg(int64_t A) {
-  return static_cast<int64_t>(~static_cast<uint64_t>(A) + 1);
-}
 
 /// Splits a normal-form product into (coefficient, base).
 std::pair<int64_t, const ATerm *> coeffOf(TermFactory &F, const ATerm *T) {
-  if (T->K == AOp::Mul && T->Kids.size() >= 2 &&
-      T->Kids[0]->K == AOp::IntConst) {
+  if (T->K == AOp::Mul && T->Kids.size() >= 2 && T->Kids[0]->isIntConst()) {
     std::vector<const ATerm *> Rest(T->Kids.begin() + 1, T->Kids.end());
     const ATerm *Base = Rest.size() == 1 ? Rest[0] : F.app(AOp::Mul, Rest);
-    return {T->Kids[0]->IntVal, Base};
+    return {T->Kids[0]->intVal(), Base};
   }
   return {1, T};
+}
+
+/// `C * Base` in normal form: a product base keeps its factors flat (a
+/// nested `C * (x * y)` would flatten, and rebuilding the sum would nest it
+/// again — a rewrite cycle).
+const ATerm *scaled(TermFactory &F, int64_t C, const ATerm *Base) {
+  if (Base->K != AOp::Mul)
+    return F.mul2(F.intConst(C), Base);
+  std::vector<const ATerm *> Kids{F.intConst(C)};
+  Kids.insert(Kids.end(), Base->Kids.begin(), Base->Kids.end());
+  return F.app(AOp::Mul, std::move(Kids));
 }
 
 /// Collects the set/ms-add spine of \p T: returns the core (innermost
@@ -72,7 +116,7 @@ void flattenBi(const ATerm *T, BuiltinKind B,
 } // namespace
 
 void Normalizer::blockOn(const ATerm *Guard) {
-  if (Guard->K == AOp::BoolConst)
+  if (Guard->isConst())
     return;
   if (Ctx.boolFact(Guard))
     return;
@@ -83,6 +127,13 @@ void Normalizer::blockOn(const ATerm *Guard) {
 const ATerm *Normalizer::normalize(const ATerm *T) {
   const ATerm *R = norm(T);
   return Blown ? nullptr : R;
+}
+
+const ATerm *Normalizer::normalizeOrRaw(const ATerm *T) {
+  Steps = 0;
+  Blown = false;
+  const ATerm *R = norm(T);
+  return Blown ? T : R;
 }
 
 const ATerm *Normalizer::norm(const ATerm *T) {
@@ -135,10 +186,7 @@ const ATerm *Normalizer::norm(const ATerm *T) {
 
 const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
   switch (T->K) {
-  case AOp::IntConst:
-  case AOp::BoolConst:
-  case AOp::StrConst:
-  case AOp::UnitConst:
+  case AOp::Const:
   case AOp::Sym:
     return nullptr;
   case AOp::Add:
@@ -147,12 +195,12 @@ const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
     return rewriteMul(T);
   case AOp::Div: {
     const ATerm *A = T->Kids[0], *B = T->Kids[1];
-    if (A->K == AOp::IntConst && B->K == AOp::IntConst) {
-      if (B->IntVal == 0)
+    if (A->isIntConst() && B->isIntConst()) {
+      if (B->intVal() == 0)
         return F.intConst(0); // vops::divT: division by zero yields 0
-      if (A->IntVal == INT64_MIN && B->IntVal == -1)
+      if (A->intVal() == INT64_MIN && B->intVal() == -1)
         return F.intConst(INT64_MIN);
-      return F.intConst(A->IntVal / B->IntVal);
+      return F.intConst(A->intVal() / B->intVal());
     }
     if (B->isInt(1))
       return A;
@@ -162,12 +210,12 @@ const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
   }
   case AOp::Mod: {
     const ATerm *A = T->Kids[0], *B = T->Kids[1];
-    if (A->K == AOp::IntConst && B->K == AOp::IntConst) {
-      if (B->IntVal == 0)
+    if (A->isIntConst() && B->isIntConst()) {
+      if (B->intVal() == 0)
         return F.intConst(0); // vops::modT: modulo by zero yields 0
-      if (A->IntVal == INT64_MIN && B->IntVal == -1)
+      if (A->intVal() == INT64_MIN && B->intVal() == -1)
         return F.intConst(0);
-      return F.intConst(A->IntVal % B->IntVal);
+      return F.intConst(A->intVal() % B->intVal());
     }
     if (B->isInt(1) || B->isInt(-1))
       return F.intConst(0);
@@ -186,29 +234,24 @@ const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
     return nullptr;
   }
   case AOp::Lt:
+    // One comparison atom per pair of operands: `a < b` and its negation
+    // `b <= a` then share the `<=` node, so deciding one decides the other
+    // (both in a FactCtx and in the verifier's congruence closure).
+    return F.notT(F.app(AOp::Le, {T->Kids[1], T->Kids[0]}));
   case AOp::Le: {
-    Tri D = Ctx.decideCmp(T->Kids[0], T->Kids[1], T->K == AOp::Lt);
+    Tri D = Ctx.decideCmp(T->Kids[0], T->Kids[1], /*Strict=*/false);
     if (D != Tri::Unknown)
       return F.boolConst(D == Tri::True);
     return nullptr;
   }
   case AOp::Not: {
+    // No De Morgan and no comparison flipping: `!c` keeps `c` as a subterm,
+    // so assuming `!c` decides `c` itself.
     const ATerm *A = T->Kids[0];
-    if (A->K == AOp::BoolConst)
-      return F.boolConst(!A->BoolVal);
+    if (A->isConst())
+      return F.boolConst(!A->Val->getBool());
     if (A->K == AOp::Not)
       return A->Kids[0];
-    if (A->K == AOp::Lt)
-      return F.app(AOp::Le, {A->Kids[1], A->Kids[0]});
-    if (A->K == AOp::Le)
-      return F.app(AOp::Lt, {A->Kids[1], A->Kids[0]});
-    if (A->K == AOp::And || A->K == AOp::Or) { // De Morgan
-      std::vector<const ATerm *> Kids;
-      Kids.reserve(A->Kids.size());
-      for (const ATerm *Kid : A->Kids)
-        Kids.push_back(F.notT(Kid));
-      return F.app(A->K == AOp::And ? AOp::Or : AOp::And, std::move(Kids));
-    }
     return nullptr;
   }
   case AOp::And:
@@ -216,8 +259,8 @@ const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
     return rewriteBool(T);
   case AOp::Ite: {
     const ATerm *C = T->Kids[0], *Th = T->Kids[1], *El = T->Kids[2];
-    if (C->K == AOp::BoolConst)
-      return C->BoolVal ? Th : El;
+    if (C->isConst())
+      return C->Val->getBool() ? Th : El;
     if (Th == El)
       return Th;
     if (C->K == AOp::Not)
@@ -226,38 +269,51 @@ const ATerm *Normalizer::rewriteRoot(const ATerm *T) {
     return nullptr;
   }
   case AOp::Bi:
+    if (T->B != BuiltinKind::Ite)
+      if (std::optional<ValueRef> V = foldGround(T->B, T->Kids))
+        return F.constant(std::move(*V));
     return rewriteBuiltin(T);
   }
   return nullptr;
 }
 
 const ATerm *Normalizer::rewriteAdd(const ATerm *T) {
+  // The coefficient list: (atom, coefficient) pairs, merged by atom. Kids
+  // are normal, so nesting is at most one level deep.
   int64_t CAcc = 0;
-  std::map<const ATerm *, int64_t, bool (*)(const ATerm *, const ATerm *)>
-      Coeffs(structLess);
-  for (const ATerm *Kid : T->Kids) {
-    // Kids are normal, so nesting is at most one level deep.
-    std::vector<const ATerm *> Flat;
-    if (Kid->K == AOp::Add)
-      Flat.assign(Kid->Kids.begin(), Kid->Kids.end());
-    else
-      Flat.push_back(Kid);
-    for (const ATerm *P : Flat) {
-      if (P->K == AOp::IntConst) {
-        CAcc = wrapAdd(CAcc, P->IntVal);
-        continue;
-      }
-      auto [C, Base] = coeffOf(F, P);
-      Coeffs[Base] = wrapAdd(Coeffs[Base], C);
+  std::vector<std::pair<const ATerm *, int64_t>> Coeffs;
+  auto Collect = [&](const ATerm *P) {
+    if (P->isIntConst()) {
+      CAcc = wrapAdd(CAcc, P->intVal());
+      return;
     }
+    auto [C, Base] = coeffOf(F, P);
+    Coeffs.emplace_back(Base, C);
+  };
+  for (const ATerm *Kid : T->Kids) {
+    if (Kid->K != AOp::Add) {
+      Collect(Kid);
+      continue;
+    }
+    for (const ATerm *P : Kid->Kids)
+      Collect(P);
   }
+  auto ByAtom = [](const auto &A, const auto &B) {
+    return structLess(A.first, B.first);
+  };
+  // Usually already sorted: a normal sum plus one more term.
+  if (!std::is_sorted(Coeffs.begin(), Coeffs.end(), ByAtom))
+    std::stable_sort(Coeffs.begin(), Coeffs.end(), ByAtom);
   std::vector<const ATerm *> Out;
   if (CAcc != 0)
     Out.push_back(F.intConst(CAcc));
-  for (const auto &[Base, C] : Coeffs) {
-    if (C == 0)
-      continue;
-    Out.push_back(C == 1 ? Base : F.mul2(F.intConst(C), Base));
+  for (size_t I = 0; I < Coeffs.size();) {
+    const ATerm *Base = Coeffs[I].first;
+    int64_t C = 0;
+    for (; I < Coeffs.size() && Coeffs[I].first == Base; ++I)
+      C = wrapAdd(C, Coeffs[I].second);
+    if (C != 0)
+      Out.push_back(C == 1 ? Base : scaled(F, C, Base));
   }
   const ATerm *R = Out.empty()  ? F.intConst(0)
                    : Out.size() == 1 ? Out[0]
@@ -275,22 +331,14 @@ const ATerm *Normalizer::rewriteMul(const ATerm *T) {
     else
       Flat.push_back(Kid);
     for (const ATerm *P : Flat) {
-      if (P->K == AOp::IntConst)
-        CAcc = wrapMul(CAcc, P->IntVal);
+      if (P->isIntConst())
+        CAcc = wrapMul(CAcc, P->intVal());
       else
         Factors.push_back(P);
     }
   }
   if (CAcc == 0)
     return F.intConst(0);
-  // Distribute a constant over a lone sum so linear forms stay linear.
-  if (Factors.size() == 1 && Factors[0]->K == AOp::Add && CAcc != 1) {
-    std::vector<const ATerm *> Kids;
-    Kids.reserve(Factors[0]->Kids.size());
-    for (const ATerm *Kid : Factors[0]->Kids)
-      Kids.push_back(F.mul2(F.intConst(CAcc), Kid));
-    return F.app(AOp::Add, std::move(Kids));
-  }
   std::sort(Factors.begin(), Factors.end(), structLess);
   std::vector<const ATerm *> Out;
   if (CAcc != 1 || Factors.empty())
@@ -310,8 +358,8 @@ const ATerm *Normalizer::rewriteBool(const ATerm *T) {
     else
       Flat.push_back(Kid);
     for (const ATerm *P : Flat) {
-      if (P->K == AOp::BoolConst) {
-        if (P->BoolVal != IsAnd)
+      if (P->isConst()) {
+        if (P->Val->getBool() != IsAnd)
           return F.boolConst(!IsAnd); // absorbing element
         continue;                     // identity element
       }
@@ -338,10 +386,10 @@ const ATerm *Normalizer::rewriteMinMax(const ATerm *T, bool IsMin) {
   int64_t CAcc = 0;
   std::vector<const ATerm *> Rest;
   for (const ATerm *L : Leaves) {
-    if (L->K == AOp::IntConst) {
-      CAcc = HaveConst ? (IsMin ? std::min(CAcc, L->IntVal)
-                                : std::max(CAcc, L->IntVal))
-                       : L->IntVal;
+    if (L->isIntConst()) {
+      CAcc = HaveConst ? (IsMin ? std::min(CAcc, L->intVal())
+                                : std::max(CAcc, L->intVal()))
+                       : L->intVal();
       HaveConst = true;
     } else {
       Rest.push_back(L);
@@ -419,9 +467,9 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
     return nullptr;
 
   case BuiltinKind::SeqConcat:
-    if (isB(K[0], BuiltinKind::SeqEmpty))
+    if (isEmpty(K[0], ValueKind::Seq))
       return K[1];
-    if (isB(K[1], BuiltinKind::SeqEmpty))
+    if (isEmpty(K[1], ValueKind::Seq))
       return K[0];
     if (isB(K[0], BuiltinKind::SeqConcat)) // right-associate
       return F.bi(BuiltinKind::SeqConcat,
@@ -435,16 +483,12 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
     return nullptr;
 
   case BuiltinKind::SeqLen:
-    if (isB(K[0], BuiltinKind::SeqEmpty))
-      return F.intConst(0);
     if (isB(K[0], BuiltinKind::SeqAppend))
       return F.add2(F.bi(BuiltinKind::SeqLen, {K[0]->Kids[0]}),
                     F.intConst(1));
     if (isB(K[0], BuiltinKind::SeqConcat))
       return F.add2(F.bi(BuiltinKind::SeqLen, {K[0]->Kids[0]}),
                     F.bi(BuiltinKind::SeqLen, {K[0]->Kids[1]}));
-    if (isB(K[0], BuiltinKind::SeqSort))
-      return F.bi(BuiltinKind::SeqLen, {K[0]->Kids[0]});
     if (isB(K[0], BuiltinKind::MsToSeq))
       return F.bi(BuiltinKind::MsCard, {K[0]->Kids[0]});
     if (isB(K[0], BuiltinKind::SetToSeq))
@@ -454,26 +498,19 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
   case BuiltinKind::SeqSum:
   case BuiltinKind::SeqMean:
     // The concrete fold SATURATES at the int64 boundary, which makes it
-    // order-sensitive there — no append/concat homomorphism is sound for an
-    // unbounded claim. Only the empty case folds.
-    if (isB(K[0], BuiltinKind::SeqEmpty))
-      return F.intConst(0);
+    // order-sensitive there — no append/concat homomorphism is sound.
+    // Only ground sequences fold (above). `mean` also must not expand to
+    // `sum / len`: it floors where `/` truncates.
     return nullptr;
 
   case BuiltinKind::SeqSort:
-    if (isB(K[0], BuiltinKind::SeqEmpty))
-      return K[0];
-    // A sorted sequence is a function of its element multiset alone;
-    // canonicalize through it so differently-built sequences compare equal.
-    if (!isB(K[0], BuiltinKind::MsToSeq))
-      return F.bi(BuiltinKind::SeqSort,
-                  {F.bi(BuiltinKind::MsToSeq,
-                        {F.bi(BuiltinKind::SeqToMs, {K[0]})})});
-    return nullptr;
+    // A sorted sequence is a function of its element multiset alone, and a
+    // multiset lists its elements in sorted order: sort(s) is
+    // mset_to_seq(seq_to_mset(s)), so differently-built sequences with
+    // equal multisets compare equal (the Email-Metadata reasoning step).
+    return F.bi(BuiltinKind::MsToSeq, {F.bi(BuiltinKind::SeqToMs, {K[0]})});
 
   case BuiltinKind::SeqToMs:
-    if (isB(K[0], BuiltinKind::SeqEmpty))
-      return F.bi(BuiltinKind::MsEmpty, {});
     if (isB(K[0], BuiltinKind::SeqAppend))
       return F.bi(BuiltinKind::MsAdd,
                   {F.bi(BuiltinKind::SeqToMs, {K[0]->Kids[0]}),
@@ -482,15 +519,11 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
       return F.bi(BuiltinKind::MsUnion,
                   {F.bi(BuiltinKind::SeqToMs, {K[0]->Kids[0]}),
                    F.bi(BuiltinKind::SeqToMs, {K[0]->Kids[1]})});
-    if (isB(K[0], BuiltinKind::SeqSort))
-      return F.bi(BuiltinKind::SeqToMs, {K[0]->Kids[0]});
     if (isB(K[0], BuiltinKind::MsToSeq))
       return K[0]->Kids[0];
     return nullptr;
 
   case BuiltinKind::SeqToSet:
-    if (isB(K[0], BuiltinKind::SeqEmpty))
-      return F.bi(BuiltinKind::SetEmpty, {});
     if (isB(K[0], BuiltinKind::SeqAppend))
       return F.bi(BuiltinKind::SetAdd,
                   {F.bi(BuiltinKind::SeqToSet, {K[0]->Kids[0]}),
@@ -499,8 +532,6 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
       return F.bi(BuiltinKind::SetUnion,
                   {F.bi(BuiltinKind::SeqToSet, {K[0]->Kids[0]}),
                    F.bi(BuiltinKind::SeqToSet, {K[0]->Kids[1]})});
-    if (isB(K[0], BuiltinKind::SeqSort))
-      return F.bi(BuiltinKind::SeqToSet, {K[0]->Kids[0]});
     if (isB(K[0], BuiltinKind::SetToSeq))
       return K[0]->Kids[0];
     return nullptr;
@@ -528,16 +559,21 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
   case BuiltinKind::MsUnion: {
     const bool IsSet = T->B == BuiltinKind::SetUnion;
     const BuiltinKind AddK = IsSet ? BuiltinKind::SetAdd : BuiltinKind::MsAdd;
-    const BuiltinKind EmptyK =
-        IsSet ? BuiltinKind::SetEmpty : BuiltinKind::MsEmpty;
     std::vector<const ATerm *> Parts;
     flattenBi(T, T->B, Parts);
     std::vector<const ATerm *> Elems, Cores;
+    ValueRef ConstCore = IsSet ? ValueFactory::emptySet()
+                               : ValueFactory::emptyMultiset();
     for (const ATerm *P : Parts) {
       const ATerm *Core = stripAdds(P, AddK, Elems);
-      if (!isB(Core, EmptyK))
+      if (!Core->isConst())
         Cores.push_back(Core);
+      else // constant cores fold into one
+        ConstCore = IsSet ? vops::setUnion(ConstCore, Core->Val)
+                          : vops::msUnion(ConstCore, Core->Val);
     }
+    if (!ConstCore->elems().empty())
+      Cores.push_back(F.constant(ConstCore));
     std::sort(Cores.begin(), Cores.end(), structLess);
     if (IsSet) // set_union is idempotent; ms_union keeps duplicates
       Cores.erase(std::unique(Cores.begin(), Cores.end()), Cores.end());
@@ -546,7 +582,7 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
       Elems.erase(std::unique(Elems.begin(), Elems.end()), Elems.end());
     const ATerm *R;
     if (Cores.empty()) {
-      R = F.bi(EmptyK, {});
+      R = F.constant(ConstCore);
     } else {
       R = Cores[0];
       for (size_t I = 1; I < Cores.size(); ++I)
@@ -558,8 +594,8 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
   }
 
   case BuiltinKind::SetInter: {
-    if (isB(K[0], BuiltinKind::SetEmpty) || isB(K[1], BuiltinKind::SetEmpty))
-      return F.bi(BuiltinKind::SetEmpty, {});
+    if (isEmpty(K[0], ValueKind::Set) || isEmpty(K[1], ValueKind::Set))
+      return F.constant(ValueFactory::emptySet());
     if (K[0] == K[1])
       return K[0];
     if (ATerm::compare(K[0], K[1]) > 0) // commutative: canonical order
@@ -567,25 +603,25 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
     return nullptr;
   }
   case BuiltinKind::SetDiff:
-    if (isB(K[0], BuiltinKind::SetEmpty))
+    if (isEmpty(K[0], ValueKind::Set))
       return K[0];
-    if (isB(K[1], BuiltinKind::SetEmpty))
+    if (isEmpty(K[1], ValueKind::Set))
       return K[0];
     if (K[0] == K[1])
-      return F.bi(BuiltinKind::SetEmpty, {});
+      return F.constant(ValueFactory::emptySet());
     return nullptr;
   case BuiltinKind::MsDiff:
-    if (isB(K[0], BuiltinKind::MsEmpty))
+    if (isEmpty(K[0], ValueKind::Multiset))
       return K[0];
-    if (isB(K[1], BuiltinKind::MsEmpty))
+    if (isEmpty(K[1], ValueKind::Multiset))
       return K[0];
     if (K[0] == K[1])
-      return F.bi(BuiltinKind::MsEmpty, {});
+      return F.constant(ValueFactory::emptyMultiset());
     return nullptr;
 
   case BuiltinKind::SetMember: {
     const ATerm *S = K[0], *Y = K[1];
-    if (isB(S, BuiltinKind::SetEmpty))
+    if (isEmpty(S, ValueKind::Set))
       return F.boolConst(false);
     if (isB(S, BuiltinKind::SetAdd)) {
       Tri D = Ctx.decideEq(S->Kids[1], Y);
@@ -606,8 +642,6 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
   }
 
   case BuiltinKind::SetSize:
-    if (isB(K[0], BuiltinKind::SetEmpty))
-      return F.intConst(0);
     if (isB(K[0], BuiltinKind::SetAdd)) {
       const ATerm *B = K[0]->Kids[0], *X = K[0]->Kids[1];
       return F.ite(F.bi(BuiltinKind::SetMember, {B, X}),
@@ -616,29 +650,22 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
     }
     return nullptr;
 
-  case BuiltinKind::SetToSeq:
-    if (isB(K[0], BuiltinKind::SetEmpty))
-      return F.bi(BuiltinKind::SeqEmpty, {});
-    return nullptr;
-  case BuiltinKind::MsToSeq:
-    if (isB(K[0], BuiltinKind::MsEmpty))
-      return F.bi(BuiltinKind::SeqEmpty, {});
-    return nullptr;
-
   case BuiltinKind::MsCard:
-    if (isB(K[0], BuiltinKind::MsEmpty))
-      return F.intConst(0);
     if (isB(K[0], BuiltinKind::MsAdd))
       return F.add2(F.bi(BuiltinKind::MsCard, {K[0]->Kids[0]}),
                     F.intConst(1));
     if (isB(K[0], BuiltinKind::MsUnion))
       return F.add2(F.bi(BuiltinKind::MsCard, {K[0]->Kids[0]}),
                     F.bi(BuiltinKind::MsCard, {K[0]->Kids[1]}));
+    if (isB(K[0], BuiltinKind::SeqToMs))
+      return F.bi(BuiltinKind::SeqLen, {K[0]->Kids[0]});
+    if (isB(K[0], BuiltinKind::MapValues))
+      return F.bi(BuiltinKind::MapSize, {K[0]->Kids[0]});
     return nullptr;
 
   case BuiltinKind::MsCount: {
     const ATerm *M = K[0], *Y = K[1];
-    if (isB(M, BuiltinKind::MsEmpty))
+    if (isEmpty(M, ValueKind::Multiset))
       return F.intConst(0);
     if (isB(M, BuiltinKind::MsAdd)) {
       Tri D = Ctx.decideEq(M->Kids[1], Y);
@@ -690,7 +717,7 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
 
   case BuiltinKind::MapGetOr: {
     const ATerm *M = K[0], *Ky = K[1], *D = K[2];
-    if (isB(M, BuiltinKind::MapEmpty))
+    if (isEmpty(M, ValueKind::Map))
       return D;
     if (isB(M, BuiltinKind::MapPut)) {
       Tri E = Ctx.decideEq(M->Kids[1], Ky);
@@ -711,7 +738,7 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
 
   case BuiltinKind::MapHas: {
     const ATerm *M = K[0], *Ky = K[1];
-    if (isB(M, BuiltinKind::MapEmpty))
+    if (isEmpty(M, ValueKind::Map))
       return F.boolConst(false);
     if (isB(M, BuiltinKind::MapPut)) {
       Tri D = Ctx.decideEq(M->Kids[1], Ky);
@@ -726,7 +753,7 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
 
   case BuiltinKind::MapRemove: {
     const ATerm *M = K[0], *Ky = K[1];
-    if (isB(M, BuiltinKind::MapEmpty))
+    if (isEmpty(M, ValueKind::Map))
       return M;
     if (isB(M, BuiltinKind::MapPut)) {
       Tri D = Ctx.decideEq(M->Kids[1], Ky);
@@ -742,8 +769,6 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
   }
 
   case BuiltinKind::MapDom:
-    if (isB(K[0], BuiltinKind::MapEmpty))
-      return F.bi(BuiltinKind::SetEmpty, {});
     if (isB(K[0], BuiltinKind::MapPut))
       return F.bi(BuiltinKind::SetAdd,
                   {F.bi(BuiltinKind::MapDom, {K[0]->Kids[0]}),
@@ -752,12 +777,10 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
       return F.bi(BuiltinKind::SetDiff,
                   {F.bi(BuiltinKind::MapDom, {K[0]->Kids[0]}),
                    F.bi(BuiltinKind::SetAdd,
-                        {F.bi(BuiltinKind::SetEmpty, {}), K[0]->Kids[1]})});
+                        {F.constant(ValueFactory::emptySet()), K[0]->Kids[1]})});
     return nullptr;
 
   case BuiltinKind::MapSize:
-    if (isB(K[0], BuiltinKind::MapEmpty))
-      return F.intConst(0);
     if (isB(K[0], BuiltinKind::MapPut)) {
       const ATerm *M = K[0]->Kids[0], *Ky = K[0]->Kids[1];
       return F.ite(F.bi(BuiltinKind::MapHas, {M, Ky}),
@@ -770,6 +793,11 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
     // Surface-level ite builtin; reuse the AOp::Ite rules.
     return F.ite(K[0], K[1], K[2]);
 
+  case BuiltinKind::Declassify:
+    // A single run's value of `declassify e` is exactly `e`; the release it
+    // grants is relational and handled by the verifier's product state.
+    return K[0];
+
   case BuiltinKind::Min:
     return rewriteMinMax(T, /*IsMin=*/true);
   case BuiltinKind::Max:
@@ -777,8 +805,6 @@ const ATerm *Normalizer::rewriteBuiltin(const ATerm *T) {
 
   case BuiltinKind::Abs: {
     const ATerm *A = K[0];
-    if (A->K == AOp::IntConst)
-      return F.intConst(A->IntVal < 0 ? wrapNeg(A->IntVal) : A->IntVal);
     if (isB(A, BuiltinKind::Abs))
       return A;
     AbsVal AV = Ctx.absOf(A);

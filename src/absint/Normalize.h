@@ -5,26 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The equational core of the differencing tier (DESIGN §13): an innermost
-/// rewrite engine that brings `ATerm`s into a canonical form modulo the
-/// value domain's algebra — AC-flattening/sorting for `+`, `*`, `&&`,
-/// `||`, `min`/`max`, set/multiset constructions, directed rules for the
-/// collection builtins (`dom(map_put(m,k,v)) → set_add(dom(m),k)`, put/get
-/// commutation with key case-splits, `seq_to_mset(append(s,x)) →
-/// ms_add(...)`, ...), constant folding that mirrors `vops` exactly, and
-/// fact application from the current branch's `FactCtx`.
+/// The equational core shared by the verifier and the differencing tier
+/// (DESIGN §13): an innermost rewrite engine that brings `ATerm`s into a
+/// canonical form modulo the value domain's algebra — AC-flattening/sorting
+/// for `+`, `*`, `&&`, `||`, `min`/`max`, set/multiset constructions, like-
+/// term collection in sums, directed rules for the collection builtins
+/// (`dom(map_put(m,k,v)) → set_add(dom(m),k)`, put/get commutation with key
+/// case-splits, `seq_to_mset(append(s,x)) → ms_add(...)`,
+/// `sort(s) → mset_to_seq(seq_to_mset(s))`, ...), transparency of
+/// `declassify`, comparison canonicalization (`a < b → !(b <= a)`), constant
+/// folding that mirrors `vops` exactly (ground builtin applications are
+/// evaluated), and fact application from the current branch's `FactCtx`.
+/// The verifier runs it with an empty `FactCtx`.
 ///
 /// Rules whose applicability hinges on an undecided condition (a key
 /// equality, a map/set membership, an `ite` condition) do not fire; instead
 /// the condition is recorded as a *blocked guard*, in deterministic
 /// traversal order, for the prover to case-split on.
 ///
-/// Deliberately absent: any rule for `sum(seq)` / `mean(seq)` beyond the
-/// empty sequence. The concrete fold saturates at the int64 boundary, which
-/// makes it order-sensitive there, so treating it as homomorphic over
-/// `append` would be unsound for an *unbounded* claim. Specs abstracting
-/// through `sum(v)` stay with the bounded tiers; the Table 1 ghost-sum
-/// specs use plain `+`, which wraps (a commutative ring), and are provable.
+/// Deliberately absent: any rule for `sum(seq)` / `mean(seq)` beyond
+/// constant folding. The concrete fold saturates at the int64 boundary,
+/// which makes it order-sensitive there, so treating it as homomorphic over
+/// `append` or `concat` is unsound: `sum(append(s, 1))` need not equal
+/// `sum(s) + 1` (examples/programs/broken/sum_saturation_leak.hv). Specs
+/// abstracting through `sum(v)` stay with the bounded tiers; the Table 1
+/// ghost-sum specs use plain `+`, which wraps (a commutative ring), and are
+/// provable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +58,15 @@ public:
 
   /// Canonical form of \p T under the branch facts, or null when a budget
   /// was exhausted (the caller must treat the obligation as inconclusive).
+  /// The step budget is cumulative over the normalizer's lifetime.
   const ATerm *normalize(const ATerm *T);
+
+  /// For long-lived normalizers (the verifier keeps one per procedure, so
+  /// already-normal subterms are memo hits): runs \p T on a fresh step
+  /// budget and returns \p T itself when that budget blows. A raw term is
+  /// sound, only less canonical, so a blown budget can never count as a
+  /// proof the normal form would not also give.
+  const ATerm *normalizeOrRaw(const ATerm *T);
 
   /// Undecided conditions that blocked a rewrite, in first-encounter order.
   const std::vector<const ATerm *> &blockedGuards() const { return Guards; }

@@ -1,4 +1,4 @@
-//===-- absint/Term.cpp - Interned terms for the differencing tier ---------===//
+//===-- absint/Term.cpp - Hash-consed symbolic terms -----------------------===//
 //
 // Part of the CommCSL-C++ project.
 //
@@ -18,12 +18,14 @@ int ATerm::compare(const ATerm *A, const ATerm *B) {
   if (A->K != B->K)
     return static_cast<int>(A->K) < static_cast<int>(B->K) ? -1 : 1;
   switch (A->K) {
-  case AOp::IntConst:
-    return A->IntVal < B->IntVal ? -1 : (A->IntVal > B->IntVal ? 1 : 0);
-  case AOp::BoolConst:
-    return int(A->BoolVal) - int(B->BoolVal);
-  case AOp::StrConst:
+  case AOp::Const:
+    return Value::compare(A->Val, B->Val);
   case AOp::Sym:
+    // Named symbols first (by name), then fresh ones (by creation number).
+    if (A->Fresh != B->Fresh)
+      return A->Fresh ? 1 : -1;
+    if (A->Fresh)
+      return A->SymId < B->SymId ? -1 : (A->SymId > B->SymId ? 1 : 0);
     return A->Str.compare(B->Str);
   case AOp::Bi:
     if (A->B != B->B)
@@ -41,19 +43,11 @@ int ATerm::compare(const ATerm *A, const ATerm *B) {
 }
 
 std::string ATerm::str() const {
-  std::ostringstream OS;
   switch (K) {
-  case AOp::IntConst:
-    OS << IntVal;
-    return OS.str();
-  case AOp::BoolConst:
-    return BoolVal ? "true" : "false";
-  case AOp::StrConst:
-    return "\"" + Str + "\"";
-  case AOp::UnitConst:
-    return "unit";
+  case AOp::Const:
+    return Val->str();
   case AOp::Sym:
-    return Str;
+    return Fresh ? Str + "#" + std::to_string(SymId) : Str;
   default:
     break;
   }
@@ -99,11 +93,18 @@ std::string ATerm::str() const {
     Head = "?";
     break;
   }
+  std::ostringstream OS;
   OS << "(" << Head;
   for (const ATerm *Kid : Kids)
     OS << " " << Kid->str();
   OS << ")";
   return OS.str();
+}
+
+bool TermFactory::Key::operator==(const Key &O) const {
+  return K == O.K && B == O.B && Fresh == O.Fresh && SymId == O.SymId &&
+         Str == O.Str && Kids == O.Kids &&
+         (Val == O.Val || (Val && O.Val && Value::equal(Val, O.Val)));
 }
 
 size_t TermFactory::KeyHash::operator()(const Key &K) const {
@@ -113,9 +114,9 @@ size_t TermFactory::KeyHash::operator()(const Key &K) const {
   };
   Mix(static_cast<uint64_t>(K.K));
   Mix(static_cast<uint64_t>(K.B));
-  Mix(static_cast<uint64_t>(K.IntVal));
-  Mix(K.BoolVal ? 1 : 0);
+  Mix(K.Val ? K.Val->hash() : 0);
   Mix(std::hash<std::string>()(K.Str));
+  Mix(K.Fresh ? K.SymId + 1 : 0);
   for (const ATerm *Kid : K.Kids)
     Mix(Kid->Hash);
   return static_cast<size_t>(H);
@@ -128,52 +129,57 @@ const ATerm *TermFactory::intern(Key K) {
   auto T = std::make_unique<ATerm>();
   T->K = K.K;
   T->B = K.B;
-  T->IntVal = K.IntVal;
-  T->BoolVal = K.BoolVal;
+  T->Val = K.Val;
   T->Str = K.Str;
+  T->Fresh = K.Fresh;
+  T->SymId = K.SymId;
   T->Kids = K.Kids;
   T->Hash = KeyHash()(K);
-  T->Size = 1;
+  T->Id = static_cast<uint32_t>(Terms.size());
+  uint64_t Size = 1;
   for (const ATerm *Kid : T->Kids)
-    T->Size += Kid->Size;
+    Size += Kid->Size;
+  T->Size = static_cast<uint32_t>(std::min<uint64_t>(Size, UINT32_MAX));
   const ATerm *Out = T.get();
   Terms.emplace(std::move(K), std::move(T));
   return Out;
 }
 
+const ATerm *TermFactory::constant(ValueRef V) {
+  return intern({AOp::Const, BuiltinKind::PairMk, std::move(V), {}, false, 0,
+                 {}});
+}
+
 const ATerm *TermFactory::intConst(int64_t V) {
-  Key K{AOp::IntConst, BuiltinKind::PairMk, V, false, {}, {}};
-  return intern(std::move(K));
+  return constant(ValueFactory::intV(V));
 }
 
 const ATerm *TermFactory::boolConst(bool V) {
-  Key K{AOp::BoolConst, BuiltinKind::PairMk, 0, V, {}, {}};
-  return intern(std::move(K));
+  return constant(ValueFactory::boolV(V));
 }
 
 const ATerm *TermFactory::strConst(const std::string &S) {
-  Key K{AOp::StrConst, BuiltinKind::PairMk, 0, false, S, {}};
-  return intern(std::move(K));
+  return constant(ValueFactory::stringV(S));
 }
 
-const ATerm *TermFactory::unitConst() {
-  Key K{AOp::UnitConst, BuiltinKind::PairMk, 0, false, {}, {}};
-  return intern(std::move(K));
-}
+const ATerm *TermFactory::unitConst() { return constant(ValueFactory::unit()); }
 
 const ATerm *TermFactory::sym(const std::string &Name) {
-  Key K{AOp::Sym, BuiltinKind::PairMk, 0, false, Name, {}};
-  return intern(std::move(K));
+  return intern({AOp::Sym, BuiltinKind::PairMk, nullptr, Name, false, 0, {}});
+}
+
+const ATerm *TermFactory::freshSym(const std::string &Name) {
+  return intern({AOp::Sym, BuiltinKind::PairMk, nullptr, Name, true,
+                 NextSymId++, {}});
 }
 
 const ATerm *TermFactory::app(AOp K, std::vector<const ATerm *> Kids) {
-  Key Ky{K, BuiltinKind::PairMk, 0, false, {}, std::move(Kids)};
-  return intern(std::move(Ky));
+  return intern({K, BuiltinKind::PairMk, nullptr, {}, false, 0,
+                 std::move(Kids)});
 }
 
 const ATerm *TermFactory::bi(BuiltinKind B, std::vector<const ATerm *> Kids) {
-  Key Ky{AOp::Bi, B, 0, false, {}, std::move(Kids)};
-  return intern(std::move(Ky));
+  return intern({AOp::Bi, B, nullptr, {}, false, 0, std::move(Kids)});
 }
 
 const ATerm *TermFactory::add2(const ATerm *A, const ATerm *B) {

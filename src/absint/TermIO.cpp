@@ -44,25 +44,63 @@ const char *opHead(AOp K) {
   }
 }
 
-void printInto(const ATerm *T, std::string &Out) {
-  switch (T->K) {
-  case AOp::IntConst:
-    Out += std::to_string(T->IntVal);
+void printValue(const ValueRef &V, std::string &Out) {
+  const char *Head = nullptr;
+  switch (V->kind()) {
+  case ValueKind::Int:
+    Out += std::to_string(V->getInt());
     return;
-  case AOp::BoolConst:
-    Out += T->BoolVal ? "#t" : "#f";
+  case ValueKind::Bool:
+    Out += V->getBool() ? "#t" : "#f";
     return;
-  case AOp::UnitConst:
+  case ValueKind::Unit:
     Out += "#u";
     return;
-  case AOp::StrConst:
+  case ValueKind::String:
     Out += '"';
-    for (char C : T->Str) {
+    for (char C : V->getString()) {
       if (C == '"' || C == '\\')
         Out += '\\';
       Out += C;
     }
     Out += '"';
+    return;
+  case ValueKind::Pair:
+    Head = "#pair";
+    break;
+  case ValueKind::Seq:
+    Head = "#seq";
+    break;
+  case ValueKind::Set:
+    Head = "#set";
+    break;
+  case ValueKind::Multiset:
+    Head = "#mset";
+    break;
+  case ValueKind::Map:
+    Out += "(#map";
+    for (const auto &[Key, Val] : V->mapEntries()) {
+      Out += ' ';
+      printValue(Key, Out);
+      Out += ' ';
+      printValue(Val, Out);
+    }
+    Out += ')';
+    return;
+  }
+  Out += '(';
+  Out += Head;
+  for (const ValueRef &E : V->elems()) {
+    Out += ' ';
+    printValue(E, Out);
+  }
+  Out += ')';
+}
+
+void printInto(const ATerm *T, std::string &Out) {
+  switch (T->K) {
+  case AOp::Const:
+    printValue(T->Val, Out);
     return;
   case AOp::Sym:
     Out += T->Str;
@@ -196,10 +234,41 @@ private:
         // must fail comparison, not be silently fixed up.
         return F.app(Op.K, std::move(Kids));
       }
+    if (Head[0] == '#')
+      return constantOf(Head, Kids);
     std::optional<BuiltinKind> BK = builtinByName(Head);
     if (!BK)
       return nullptr;
     return F.bi(*BK, std::move(Kids));
+  }
+
+  /// A collection constant `(#seq ...)`, `(#map k v ...)`, ...; every
+  /// element must itself be a constant.
+  const ATerm *constantOf(const std::string &Head,
+                          const std::vector<const ATerm *> &Kids) {
+    std::vector<ValueRef> Elems;
+    for (const ATerm *Kid : Kids) {
+      if (!Kid->isConst())
+        return nullptr;
+      Elems.push_back(Kid->Val);
+    }
+    if (Head == "#pair")
+      return Elems.size() == 2
+                 ? F.constant(ValueFactory::pair(Elems[0], Elems[1]))
+                 : nullptr;
+    if (Head == "#seq")
+      return F.constant(ValueFactory::seq(std::move(Elems)));
+    if (Head == "#set")
+      return F.constant(ValueFactory::set(std::move(Elems)));
+    if (Head == "#mset")
+      return F.constant(ValueFactory::multiset(std::move(Elems)));
+    if (Head == "#map" && Elems.size() % 2 == 0) {
+      std::vector<std::pair<ValueRef, ValueRef>> Entries;
+      for (size_t I = 0; I < Elems.size(); I += 2)
+        Entries.emplace_back(Elems[I], Elems[I + 1]);
+      return F.constant(ValueFactory::map(std::move(Entries)));
+    }
+    return nullptr;
   }
 
   TermFactory &F;

@@ -14,11 +14,17 @@
 /// re-derived the same normal forms.
 ///
 /// Grammar:
-///   term := INT | #t | #f | #u | "string" | symbol
+///   term := const | symbol
 ///         | (+ term term+) | (* term term+) | (/ term term) | (% term term)
 ///         | (= term term) | (< term term) | (<= term term) | (! term)
 ///         | (and term term+) | (or term term+) | (if term term term)
 ///         | (<builtin-name> term*)
+///   const := INT | #t | #f | #u | "string"
+///         | (#pair const const) | (#seq const*) | (#set const*)
+///         | (#mset const*) | (#map {const const})
+///
+/// Fresh (numbered) symbols are verifier-only and print by their display
+/// name; they never occur in certificate templates or guards.
 ///
 //===----------------------------------------------------------------------===//
 

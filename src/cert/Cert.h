@@ -80,11 +80,12 @@ inline uint64_t splitmix64(uint64_t &State) {
 // Term pool
 //===----------------------------------------------------------------------===//
 
-/// A certificate term: the serialized image of a solver term. Structure
-/// mirrors solver/Term.h (Const / Sym / Unary / Binary / Builtin over the
-/// lang operator enums) but lives in a plain indexed pool — `Args` hold pool
-/// ids, and interning makes id equality coincide with structural equality
-/// (the pool-id analogue of the arena's pointer equality).
+/// A certificate term: the serialized image of a verifier term as the
+/// solver sees it (solver/Solver.h `solverArgs`: n-ary sums, products and
+/// connectives as binary chains), over the lang operator enums
+/// (Const / Sym / Unary / Binary / Builtin). It lives in a plain indexed
+/// pool — `Args` hold pool ids, and interning makes id equality coincide
+/// with structural equality (the pool-id analogue of hash-consing).
 struct CTerm {
   enum class Kind : uint8_t { Const, Sym, Unary, Binary, Builtin };
 

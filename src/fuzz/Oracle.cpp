@@ -110,20 +110,12 @@ SchedDiffOutcome runSchedulerDifferential(const Program &Prog,
 
   // Conditionally-low returns are compared through their in-state level
   // guards, and runs are related only when they agree on what was
-  // declassified: a release log is compared as a sorted multiset (the
-  // schedule may reorder evaluation, but not the released information),
-  // and a run whose log differs from the reference is incomparable rather
-  // than a mismatch — mirroring the NI harness's delimited-release rule.
-  auto SortedLog = [](std::vector<ValueRef> Log) {
-    std::sort(Log.begin(), Log.end(), [](const ValueRef &A,
-                                         const ValueRef &B) {
-      return Value::compare(A, B) < 0;
-    });
-    return Log;
-  };
-
+  // declassified (sameReleases): a run whose log differs from the
+  // reference is incomparable rather than a mismatch — the NI harness's
+  // delimited-release rule.
   bool HaveRef = false;
-  std::vector<ValueRef> RefLow, RefCond, RefReleased;
+  std::vector<ValueRef> RefLow, RefCond;
+  std::vector<Release> RefReleased;
   std::vector<uint8_t> RefGuards;
   std::string RefSched;
   for (auto &Sched : Scheds) {
@@ -153,7 +145,7 @@ SchedDiffOutcome runSchedulerDifferential(const Program &Prog,
       Guards.push_back(Eval.eval(*LS.Guard, Env)->getBool() ? 1 : 0);
       Cond.push_back(R.Returns[LS.Index]);
     }
-    std::vector<ValueRef> Released = SortedLog(std::move(R.Declassified));
+    std::vector<Release> Released = std::move(R.Declassified);
 
     if (!HaveRef) {
       HaveRef = true;
@@ -164,10 +156,7 @@ SchedDiffOutcome runSchedulerDifferential(const Program &Prog,
       RefSched = Sched->name();
       continue;
     }
-    bool SameLog = Released.size() == RefReleased.size();
-    for (size_t I = 0; SameLog && I < Released.size(); ++I)
-      SameLog = Value::equal(Released[I], RefReleased[I]);
-    if (!SameLog)
+    if (!sameReleases(Released, RefReleased))
       continue; // incomparable under delimited release
     bool Equal = Low.size() == RefLow.size();
     for (size_t I = 0; Equal && I < Low.size(); ++I)

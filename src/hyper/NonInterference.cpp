@@ -218,6 +218,22 @@ NIReport NonInterferenceHarness::run() {
   return Report;
 }
 
+bool commcsl::sameReleases(std::vector<Release> A, std::vector<Release> B) {
+  if (A.size() != B.size())
+    return false;
+  auto Less = [](const Release &X, const Release &Y) {
+    if (X.Site != Y.Site)
+      return std::less<const Expr *>()(X.Site, Y.Site);
+    return Value::compare(X.Val, Y.Val) < 0;
+  };
+  std::sort(A.begin(), A.end(), Less);
+  std::sort(B.begin(), B.end(), Less);
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I].Site != B[I].Site || !Value::equal(A[I].Val, B[I].Val))
+      return false;
+  return true;
+}
+
 bool NonInterferenceHarness::runTrial(
     const std::vector<std::vector<ValueRef>> &Assignments,
     std::mt19937_64 &Rng, NIReport &Report) {
@@ -229,38 +245,20 @@ bool NonInterferenceHarness::runTrial(
 
   // Everything one run exposes to the comparison: the low outputs, the
   // in-state verdicts of ensures-side level guards (with the classified
-  // values), and the sorted multiset of declassified values. The release
-  // log is sorted because its order under `par` is schedule-dependent
-  // while the released *information* is the multiset.
+  // values), and the release log.
   struct Obs {
     std::vector<ValueRef> Low;
     std::vector<ValueRef> Inputs;
     std::string Sched;
     std::vector<uint8_t> EnsGuards;
     std::vector<ValueRef> EnsVals;
-    std::vector<ValueRef> Released;
-  };
-  auto SortedLog = [](std::vector<ValueRef> Log) {
-    std::sort(Log.begin(), Log.end(),
-              [](const ValueRef &A, const ValueRef &B) {
-                return Value::compare(A, B) < 0;
-              });
-    return Log;
-  };
-  auto SameLog = [](const std::vector<ValueRef> &A,
-                    const std::vector<ValueRef> &B) {
-    if (A.size() != B.size())
-      return false;
-    for (size_t I = 0; I < A.size(); ++I)
-      if (!Value::equal(A[I], B[I]))
-        return false;
-    return true;
+    std::vector<Release> Released;
   };
   // Compares run B against reference A; fills Report.Violation and
   // returns false on a mismatch. Incomparable pairs (differing release
   // logs) are skipped without counting.
   auto Compare = [&](const Obs &A, const Obs &B) {
-    if (!SameLog(A.Released, B.Released))
+    if (!sameReleases(A.Released, B.Released))
       return true;
     ++Report.PairsCompared;
     auto Mismatch = [&](const char *Detail) {
@@ -386,7 +384,7 @@ bool NonInterferenceHarness::runTrial(
         O.Low.push_back(R.Returns[I]);
       // The public output channel is observable in its entirety.
       O.Low.insert(O.Low.end(), R.Outputs.begin(), R.Outputs.end());
-      O.Released = SortedLog(std::move(R.Declassified));
+      O.Released = std::move(R.Declassified);
       if (!LevelReturns.empty()) {
         EvalEnv Env;
         for (size_t I = 0; I < Proc->Params.size(); ++I)

@@ -42,6 +42,13 @@
 
 namespace commcsl {
 
+/// Whether two runs released the same information: for every `declassify`
+/// site, the same multiset of values. Order across sites is dropped, since
+/// under `par` it is schedule-dependent; which site released which value is
+/// kept, since two sites swapping their values is a different release.
+/// The delimited-release rule of both the NI harness and the fuzz oracle.
+bool sameReleases(std::vector<Release> A, std::vector<Release> B);
+
 /// Budgets for the harness.
 struct NIConfig {
   unsigned Trials = 3;          ///< distinct low-input assignments

@@ -153,7 +153,7 @@ ValueRef ExprEvaluator::eval(const Expr &E, const EvalEnv &Env) const {
       Args[I] = &evalArg(*E.Args[I], Env, Tmps[I]);
     ValueRef R = applyBuiltinOp(E.Builtin, Args, E.Args.size(), E.Ty);
     if (E.Builtin == BuiltinKind::Declassify && DeclassifySink)
-      DeclassifySink->push_back(R);
+      DeclassifySink->push_back({&E, R});
     return R;
   }
   case ExprKind::Call: {

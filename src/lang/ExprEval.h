@@ -179,6 +179,13 @@ private:
   size_t N = 0;
 };
 
+/// One value released by a `declassify` expression, keyed by the expression
+/// (its site) that released it.
+struct Release {
+  const Expr *Site = nullptr;
+  ValueRef Val;
+};
+
 /// Evaluates expressions concretely. Holds a (possibly null) program pointer
 /// to resolve user-defined pure function calls, which are evaluated by
 /// binding their parameters (they are non-recursive by construction).
@@ -193,10 +200,10 @@ public:
   ValueRef eval(const Expr &E, const EvalEnv &Env) const;
 
   /// When non-null, every `declassify` evaluation appends the released
-  /// value here in evaluation order. The interpreter points this at the
-  /// run's release log; spec/validity evaluation leaves it null (the type
-  /// checker keeps declassify out of those positions anyway).
-  std::vector<ValueRef> *DeclassifySink = nullptr;
+  /// value and its site here in evaluation order. The interpreter points
+  /// this at the run's release log; spec/validity evaluation leaves it null
+  /// (the type checker keeps declassify out of those positions anyway).
+  std::vector<Release> *DeclassifySink = nullptr;
 
 private:
   /// eval() specialized for operand position: handles the overwhelmingly

@@ -71,7 +71,7 @@ struct RunState {
   std::vector<Thread> Threads;
   std::vector<ResourceState> Resources;
   std::vector<ValueRef> Outputs;
-  std::vector<ValueRef> Declassified;
+  std::vector<Release> Declassified;
   std::map<int64_t, int64_t> Heap;
   int64_t NextLoc = 1;
 

@@ -62,11 +62,12 @@ struct RunResult {
   std::string AbortReason;
   std::vector<ValueRef> Returns; ///< values of the return variables
   std::vector<ValueRef> Outputs; ///< values emitted by `output` statements
-  /// Values released by `declassify` expressions, in evaluation order.
-  /// Two runs whose release logs differ are incomparable for
-  /// non-interference purposes: delimited release (the declassify policy)
-  /// only relates runs that agree on what was released.
-  std::vector<ValueRef> Declassified;
+  /// Values released by `declassify` expressions with their sites, in
+  /// evaluation order. Two runs whose release logs differ are incomparable
+  /// for non-interference purposes: delimited release (the declassify
+  /// policy) only relates runs that agree on what was released where (see
+  /// sameReleases in hyper/NonInterference.h).
+  std::vector<Release> Declassified;
   std::vector<ResourceState> Resources; ///< final resource table (incl. logs)
   uint64_t Steps = 0;
 

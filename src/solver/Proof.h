@@ -30,7 +30,7 @@
 #ifndef COMMCSL_SOLVER_PROOF_H
 #define COMMCSL_SOLVER_PROOF_H
 
-#include "solver/Term.h"
+#include "absint/Term.h"
 
 #include <map>
 #include <string>
@@ -38,6 +38,9 @@
 #include <vector>
 
 namespace commcsl {
+
+/// A (normalized) term of the one term language, as the verifier holds it.
+using TermRef = const absint::ATerm *;
 
 /// One assumption fed to a solver (top-level only; the solver's internal
 /// decomposition of conjunctions etc. is re-derived by the checker).

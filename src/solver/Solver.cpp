@@ -6,126 +6,172 @@
 
 #include "solver/Solver.h"
 
+#include "absint/Domain.h"
+
 #include <cassert>
 #include <functional>
 
 using namespace commcsl;
+using absint::AOp;
+
+//===----------------------------------------------------------------------===//
+// The binary operand view
+//===----------------------------------------------------------------------===//
+
+SolverArgs commcsl::solverArgs(absint::TermFactory &F, TermRef T) {
+  SolverArgs Out;
+  const auto &K = T->Kids;
+  bool Arith = T->K == AOp::Add || T->K == AOp::Mul;
+  bool AC = Arith || T->K == AOp::And || T->K == AOp::Or;
+  bool ConstFirst = Arith && !K.empty() && K[0]->isConst();
+  if (!AC || K.size() < 2 || (K.size() == 2 && !ConstFirst)) {
+    assert(K.size() <= 3 && "operator wider than any builtin");
+    for (TermRef Kid : K)
+      Out.Arg[Out.N++] = Kid;
+    return Out;
+  }
+  Out.N = 2;
+  if (ConstFirst) {
+    // (c + x1 + ... + xn) is ((x1 + ... + xn) + c).
+    Out.Arg[0] = K.size() == 2
+                     ? K[1]
+                     : F.app(T->K, std::vector<TermRef>(K.begin() + 1,
+                                                        K.end()));
+    Out.Arg[1] = K[0];
+    return Out;
+  }
+  Out.Arg[0] = F.app(T->K, std::vector<TermRef>(K.begin(), K.end() - 1));
+  Out.Arg[1] = K.back();
+  return Out;
+}
 
 //===----------------------------------------------------------------------===//
 // Union-find + congruence
 //===----------------------------------------------------------------------===//
 
+Solver::Solver(absint::TermFactory &F)
+    : F(&F), True(F.boolConst(true)), False(F.boolConst(false)),
+      Zero(F.intConst(0)) {}
+
+void Solver::reserveIds(uint32_t Id) {
+  if (Id < Parent.size())
+    return;
+  size_t Old = Parent.size();
+  size_t New = std::max<size_t>(F->size(), Id + 1);
+  Parent.resize(New);
+  for (size_t I = Old; I < New; ++I)
+    Parent[I] = static_cast<uint32_t>(I);
+  Registered.resize(New, 0);
+  Uses.resize(New);
+  ClassConst.resize(New, nullptr);
+}
+
 uint32_t Solver::find(uint32_t Id) {
-  auto It = Parent.find(Id);
-  if (It == Parent.end()) {
-    Parent[Id] = Id;
+  if (Id >= Parent.size() || Parent[Id] == Id)
     return Id;
-  }
-  if (It->second == Id)
-    return Id;
-  uint32_t Root = find(It->second);
+  uint32_t Root = find(Parent[Id]);
   Parent[Id] = Root; // path compression
   return Root;
 }
 
+size_t Solver::SignatureHash::operator()(const Signature &S) const {
+  uint64_t H = 0x9E3779B97F4A7C15ULL;
+  for (uint64_t V : S)
+    H ^= V + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
+  return static_cast<size_t>(H);
+}
+
 namespace {
+bool isBi(TermRef T, BuiltinKind B) { return T->K == AOp::Bi && T->B == B; }
+
 /// Operators whose two operands are interchangeable. Their signatures sort
 /// the argument representatives, so congruence is insensitive to the
 /// operand order the normalizer happened to pick on each execution side.
 bool isCommutativeNode(TermRef T) {
-  if (T->K == Term::Kind::Binary)
-    return T->BOp == BinaryOp::Add || T->BOp == BinaryOp::Mul ||
-           T->BOp == BinaryOp::And || T->BOp == BinaryOp::Or ||
-           T->BOp == BinaryOp::Eq;
-  if (T->K == Term::Kind::Builtin)
-    return T->BK == BuiltinKind::MsUnion || T->BK == BuiltinKind::SetUnion ||
-           T->BK == BuiltinKind::SetInter || T->BK == BuiltinKind::Min ||
-           T->BK == BuiltinKind::Max;
-  return false;
+  switch (T->K) {
+  case AOp::Add:
+  case AOp::Mul:
+  case AOp::And:
+  case AOp::Or:
+  case AOp::Eq:
+    return true;
+  case AOp::Bi:
+    return T->B == BuiltinKind::MsUnion || T->B == BuiltinKind::SetUnion ||
+           T->B == BuiltinKind::SetInter || T->B == BuiltinKind::Min ||
+           T->B == BuiltinKind::Max;
+  default:
+    return false;
+  }
+}
+
+bool isInjectiveCtor(TermRef T) {
+  return isBi(T, BuiltinKind::SeqAppend) || isBi(T, BuiltinKind::PairMk);
+}
+
+bool isNonNegative(TermRef T) {
+  return isBi(T, BuiltinKind::Abs) || isBi(T, BuiltinKind::SeqLen) ||
+         isBi(T, BuiltinKind::SetSize) || isBi(T, BuiltinKind::MsCard) ||
+         isBi(T, BuiltinKind::MapSize) || isBi(T, BuiltinKind::MsCount);
 }
 } // namespace
 
-std::vector<uint64_t> Solver::signatureOf(TermRef T) {
-  std::vector<uint64_t> Sig;
-  Sig.reserve(T->Args.size() + 2);
-  uint64_t Tag = static_cast<uint64_t>(T->K) << 32;
-  switch (T->K) {
-  case Term::Kind::Unary:
-    Tag |= static_cast<uint64_t>(T->UOp);
-    break;
-  case Term::Kind::Binary:
-    Tag |= static_cast<uint64_t>(T->BOp) << 8;
-    break;
-  case Term::Kind::Builtin:
-    Tag |= static_cast<uint64_t>(T->BK) << 16;
-    break;
-  default:
-    break;
-  }
-  Sig.push_back(Tag);
-  for (TermRef A : T->Args)
-    Sig.push_back(find(A->Id));
-  if (isCommutativeNode(T) && Sig.size() == 3 && Sig[1] > Sig[2])
+Solver::Signature Solver::signatureOf(TermRef T) {
+  SolverArgs Args = solverArgs(*F, T);
+  // Unused argument slots hold a value no representative id takes.
+  Signature Sig;
+  Sig.fill(UINT64_MAX);
+  Sig[0] = static_cast<uint64_t>(T->K) << 32;
+  if (T->K == AOp::Bi)
+    Sig[0] |= static_cast<uint64_t>(T->B) << 16;
+  for (unsigned I = 0; I < Args.N; ++I)
+    Sig[I + 1] = find(Args[I]->Id);
+  if (isCommutativeNode(T) && Args.N == 2 && Sig[1] > Sig[2])
     std::swap(Sig[1], Sig[2]);
   return Sig;
 }
 
-namespace {
-bool isInjectiveCtor(TermRef T) {
-  return T->K == Term::Kind::Builtin &&
-         (T->BK == BuiltinKind::SeqAppend || T->BK == BuiltinKind::PairMk);
-}
-} // namespace
-
 void Solver::registerTerm(TermRef T) {
-  if (ById.count(T->Id))
+  reserveIds(T->Id);
+  if (Registered[T->Id])
     return;
-  ById[T->Id] = T;
-  Parent[T->Id] = T->Id;
+  Registered[T->Id] = 1;
   if (T->isConst())
     ClassConst[T->Id] = T;
   if (isInjectiveCtor(T))
     CtorMembers[T->Id].push_back(T);
   // Built-in non-negativity axioms: 0 <= |.|, lengths, sizes, counts.
-  if (T->K == Term::Kind::Builtin &&
-      (T->BK == BuiltinKind::Abs || T->BK == BuiltinKind::SeqLen ||
-       T->BK == BuiltinKind::SetSize || T->BK == BuiltinKind::MsCard ||
-       T->BK == BuiltinKind::MapSize || T->BK == BuiltinKind::MsCount))
-    LeFacts.emplace_back(Arena->intConst(0), T);
-  for (TermRef A : T->Args) {
+  if (isNonNegative(T))
+    LeFacts.push_back({Zero, T, 0});
+  SolverArgs Args = solverArgs(*F, T);
+  for (TermRef A : Args) {
     registerTerm(A);
     Uses[find(A->Id)].push_back(T);
   }
-  if (!T->Args.empty()) {
-    std::vector<uint64_t> Sig = signatureOf(T);
+  if (Args.N) {
+    Signature Sig = signatureOf(T);
     auto It = Sigs.find(Sig);
     if (It == Sigs.end())
-      Sigs.emplace(std::move(Sig), T);
+      Sigs.emplace(Sig, T);
     else if (find(It->second->Id) != find(T->Id))
       merge(T, It->second); // congruent siblings
   }
   // Ite whose condition is already decided collapses to a branch.
-  if (T->K == Term::Kind::Builtin && T->BK == BuiltinKind::Ite) {
-    auto CIt = ClassConst.find(find(T->Args[0]->Id));
-    if (CIt != ClassConst.end() && CIt->second->ConstVal->isBool())
-      merge(T, CIt->second->ConstVal->getBool() ? T->Args[1] : T->Args[2]);
+  if (T->K == AOp::Ite) {
+    TermRef C = ClassConst[find(T->Kids[0]->Id)];
+    if (C && C->Val->isBool())
+      merge(T, C->Val->getBool() ? T->Kids[1] : T->Kids[2]);
   }
 }
 
 void Solver::propagateClass(
     uint32_t Rep, std::vector<std::pair<TermRef, TermRef>> &Pending) {
   // Ite collapse: users of a class that acquired a boolean constant.
-  auto CIt = ClassConst.find(Rep);
-  if (CIt != ClassConst.end() && CIt->second->ConstVal->isBool()) {
-    bool Cond = CIt->second->ConstVal->getBool();
-    auto UIt = Uses.find(Rep);
-    if (UIt != Uses.end()) {
-      for (TermRef U : UIt->second) {
-        if (U->K == Term::Kind::Builtin && U->BK == BuiltinKind::Ite &&
-            find(U->Args[0]->Id) == Rep)
-          Pending.emplace_back(U, Cond ? U->Args[1] : U->Args[2]);
-      }
-    }
+  TermRef C = ClassConst[Rep];
+  if (C && C->Val->isBool()) {
+    bool Cond = C->Val->getBool();
+    for (TermRef U : Uses[Rep])
+      if (U->K == AOp::Ite && find(U->Kids[0]->Id) == Rep)
+        Pending.emplace_back(U, Cond ? U->Kids[1] : U->Kids[2]);
   }
   // Injectivity: all constructor members of one class have equal arguments.
   auto MIt = CtorMembers.find(Rep);
@@ -134,11 +180,11 @@ void Solver::propagateClass(
     TermRef First = Members.front();
     for (size_t I = 1; I < Members.size(); ++I) {
       TermRef M = Members[I];
-      if (M->BK != First->BK)
+      if (M->B != First->B)
         continue;
-      for (size_t J = 0; J < First->Args.size(); ++J)
-        if (find(First->Args[J]->Id) != find(M->Args[J]->Id))
-          Pending.emplace_back(First->Args[J], M->Args[J]);
+      for (size_t J = 0; J < First->Kids.size(); ++J)
+        if (find(First->Kids[J]->Id) != find(M->Kids[J]->Id))
+          Pending.emplace_back(First->Kids[J], M->Kids[J]);
     }
   }
 }
@@ -159,14 +205,12 @@ void Solver::merge(TermRef A, TermRef B) {
       std::swap(Rx, Ry);
     Parent[Rx] = Ry;
     // Constants: conflicting constants mean contradiction.
-    auto CxIt = ClassConst.find(Rx);
-    auto CyIt = ClassConst.find(Ry);
-    if (CxIt != ClassConst.end()) {
-      if (CyIt != ClassConst.end()) {
-        if (!Value::equal(CxIt->second->ConstVal, CyIt->second->ConstVal))
+    if (TermRef Cx = ClassConst[Rx]) {
+      if (TermRef Cy = ClassConst[Ry]) {
+        if (!Value::equal(Cx->Val, Cy->Val))
           Contradiction = true;
       } else {
-        ClassConst[Ry] = CxIt->second;
+        ClassConst[Ry] = Cx;
       }
     }
     // Merge constructor member lists.
@@ -178,13 +222,13 @@ void Solver::merge(TermRef A, TermRef B) {
     }
     // Re-signature all users of the absorbed class.
     std::vector<TermRef> Moved = std::move(Uses[Rx]);
-    Uses.erase(Rx);
+    Uses[Rx].clear();
     for (TermRef U : Moved) {
       Uses[Ry].push_back(U);
-      std::vector<uint64_t> Sig = signatureOf(U);
+      Signature Sig = signatureOf(U);
       auto It = Sigs.find(Sig);
       if (It == Sigs.end())
-        Sigs.emplace(std::move(Sig), U);
+        Sigs.emplace(Sig, U);
       else if (find(It->second->Id) != find(U->Id))
         Pending.emplace_back(U, It->second);
     }
@@ -226,35 +270,33 @@ void Solver::assumeTrueImpl(TermRef B) {
   // exact term must collapse, and the case-split engine must see it as
   // decided (otherwise it would split on the same condition forever).
   registerTerm(B);
-  merge(B, Arena->boolConst(true));
+  merge(B, True);
 
   // Then mine structure for stronger theory facts.
-  if (B->K == Term::Kind::Binary) {
-    if (B->BOp == BinaryOp::And) {
-      assumeTrueImpl(B->Args[0]);
-      assumeTrueImpl(B->Args[1]);
-      return;
-    }
-    if (B->BOp == BinaryOp::Eq) {
-      assumeEqImpl(B->Args[0], B->Args[1]);
-      return;
-    }
-    if (B->BOp == BinaryOp::Le) {
-      LeFacts.emplace_back(B->Args[0], B->Args[1]);
-      return;
-    }
-  }
-  if (B->K == Term::Kind::Unary && B->UOp == UnaryOp::Not) {
-    TermRef Inner = B->Args[0];
+  SolverArgs Args = solverArgs(*F, B);
+  switch (B->K) {
+  case AOp::And:
+    assumeTrueImpl(Args[0]);
+    assumeTrueImpl(Args[1]);
+    return;
+  case AOp::Eq:
+    assumeEqImpl(Args[0], Args[1]);
+    return;
+  case AOp::Le:
+    LeFacts.push_back({Args[0], Args[1], 0});
+    return;
+  case AOp::Not: {
+    TermRef Inner = Args[0];
     registerTerm(Inner);
-    if (Inner->K == Term::Kind::Binary && Inner->BOp == BinaryOp::Eq)
-      Disequals.emplace_back(Inner->Args[0], Inner->Args[1]);
-    if (Inner->K == Term::Kind::Binary && Inner->BOp == BinaryOp::Le) {
-      // !(a <= b)  ==>  b + 1 <= a  (integers).
-      LeFacts.emplace_back(
-          Arena->add(Inner->Args[1], Arena->intConst(1)), Inner->Args[0]);
-    }
-    merge(Inner, Arena->boolConst(false));
+    if (Inner->K == AOp::Eq)
+      Disequals.emplace_back(Inner->Kids[0], Inner->Kids[1]);
+    // !(a <= b)  ==>  b + 1 <= a  (integers).
+    if (Inner->K == AOp::Le)
+      LeFacts.push_back({Inner->Kids[1], Inner->Kids[0], 1});
+    merge(Inner, False);
+    return;
+  }
+  default:
     return;
   }
 }
@@ -263,76 +305,67 @@ void Solver::assumeTrueImpl(TermRef B) {
 // Linear bounds
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Two's-complement wrap-around, as the certificate checker's int64
+/// arithmetic behaves on every supported target (without the undefined
+/// behaviour of signed overflow).
+int64_t wrapMulAdd(int64_t Acc, int64_t K, int64_t V) {
+  return static_cast<int64_t>(static_cast<uint64_t>(Acc) +
+                              static_cast<uint64_t>(K) *
+                                  static_cast<uint64_t>(V));
+}
+} // namespace
+
 void Solver::LinForm::addScaled(const LinForm &O, int64_t K) {
-  Const += K * O.Const;
+  Const = wrapMulAdd(Const, K, O.Const);
   for (const auto &[Id, C] : O.Coeffs) {
     int64_t &Slot = Coeffs[Id];
-    Slot += K * C;
+    Slot = wrapMulAdd(Slot, K, C);
     if (Slot == 0)
       Coeffs.erase(Id);
   }
 }
 
 Solver::LinForm Solver::linearize(TermRef T) {
-  LinForm F;
-  if (T->isConst() && T->ConstVal->isInt()) {
-    F.Const = T->ConstVal->getInt();
-    return F;
+  absint::LinForm Atoms = absint::linearize(*F, T);
+  LinForm L;
+  L.Const = Atoms.Const;
+  for (const auto &[Atom, C] : Atoms.Coeffs) {
+    // Atoms are keyed by their congruence representative so that
+    // equalities unify them; a class with a known integer constant
+    // contributes that constant instead.
+    registerTerm(Atom);
+    LinForm A;
+    uint32_t Rep = find(Atom->Id);
+    if (TermRef C = ClassConst[Rep]; C && C->isIntConst())
+      A.Const = C->intVal();
+    else
+      A.Coeffs[Rep] = 1;
+    L.addScaled(A, C);
   }
-  if (T->K == Term::Kind::Binary && T->BOp == BinaryOp::Add) {
-    F = linearize(T->Args[0]);
-    F.addScaled(linearize(T->Args[1]), 1);
-    return F;
-  }
-  if (T->K == Term::Kind::Binary && T->BOp == BinaryOp::Mul) {
-    // Normalized multiplication chains place at most one constant operand.
-    TermRef L = T->Args[0];
-    TermRef R = T->Args[1];
-    if (L->isConst() && L->ConstVal->isInt()) {
-      F = linearize(R);
-      LinForm Out;
-      Out.addScaled(F, L->ConstVal->getInt());
-      return Out;
-    }
-    if (R->isConst() && R->ConstVal->isInt()) {
-      F = linearize(L);
-      LinForm Out;
-      Out.addScaled(F, R->ConstVal->getInt());
-      return Out;
-    }
-  }
-  // Opaque atom, keyed by its congruence representative so that equalities
-  // unify atoms.
-  registerTerm(T);
-  uint32_t Rep = find(T->Id);
-  // If the class has a known integer constant, use it.
-  auto It = ClassConst.find(Rep);
-  if (It != ClassConst.end() && It->second->ConstVal->isInt()) {
-    F.Const = It->second->ConstVal->getInt();
-    return F;
-  }
-  F.Coeffs[Rep] = 1;
-  return F;
+  return L;
 }
 
-bool Solver::leImplied(TermRef A, TermRef B) {
-  // Goal: 0 <= B - A.
+bool Solver::leImplied(TermRef A, TermRef B, int64_t Bias) {
+  // Goal: 0 <= B - (A + Bias).
   LinForm Goal = linearize(B);
   Goal.addScaled(linearize(A), -1);
+  Goal.Const = wrapMulAdd(Goal.Const, -1, Bias);
   if (Goal.isConst())
     return Goal.Const >= 0;
 
   // One assumed fact: goal - fact must be a non-negative constant.
   std::vector<LinForm> Facts;
   Facts.reserve(LeFacts.size());
-  for (const auto &[X, Y] : LeFacts) {
-    LinForm F = linearize(Y);
-    F.addScaled(linearize(X), -1); // F >= 0
-    Facts.push_back(std::move(F));
+  for (const LeFact &LF : LeFacts) {
+    LinForm Fact = linearize(LF.Y);
+    Fact.addScaled(linearize(LF.X), -1); // Fact - Bias >= 0
+    Fact.Const = wrapMulAdd(Fact.Const, -1, LF.Bias);
+    Facts.push_back(std::move(Fact));
   }
-  for (const LinForm &F : Facts) {
+  for (const LinForm &Fact : Facts) {
     LinForm D = Goal;
-    D.addScaled(F, -1);
+    D.addScaled(Fact, -1);
     if (D.isConst() && D.Const >= 0)
       return true;
   }
@@ -353,16 +386,24 @@ bool Solver::leImplied(TermRef A, TermRef B) {
 // Queries
 //===----------------------------------------------------------------------===//
 
+TermRef Solver::negate(TermRef B) {
+  if (B->isConst())
+    return F->boolConst(!B->Val->getBool());
+  if (B->K == AOp::Not)
+    return B->Kids[0];
+  return F->notT(B);
+}
+
 TermRef Solver::findUndecidedIteCond(TermRef T, unsigned FuelDepth) {
   if (FuelDepth == 0)
     return nullptr;
-  if (T->K == Term::Kind::Builtin && T->BK == BuiltinKind::Ite) {
+  if (T->K == AOp::Ite) {
     registerTerm(T);
-    auto CIt = ClassConst.find(find(T->Args[0]->Id));
-    if (CIt == ClassConst.end() || !CIt->second->ConstVal->isBool())
-      return T->Args[0];
+    TermRef C = ClassConst[find(T->Kids[0]->Id)];
+    if (!C || !C->Val->isBool())
+      return T->Kids[0];
   }
-  for (TermRef A : T->Args)
+  for (TermRef A : solverArgs(*F, T))
     if (TermRef C = findUndecidedIteCond(A, FuelDepth - 1))
       return C;
   return nullptr;
@@ -383,7 +424,7 @@ bool Solver::caseSplitEq(TermRef A, TermRef B, unsigned Depth) {
     return false;
   Solver Neg = *this;
   Neg.Log = nullptr;
-  Neg.assumeTrue(Neg.Arena->logNot(Cond));
+  Neg.assumeTrue(negate(Cond));
   return Neg.provesEqCore(A, B) || Neg.caseSplitEq(A, B, Depth - 1);
 }
 
@@ -400,29 +441,24 @@ bool Solver::caseSplitTrue(TermRef B, unsigned Depth) {
     return false;
   Solver Neg = *this;
   Neg.Log = nullptr;
-  Neg.assumeTrue(Neg.Arena->logNot(Cond));
+  Neg.assumeTrue(negate(Cond));
   return Neg.provesTrueCore(B) || Neg.caseSplitTrue(B, Depth - 1);
 }
 
 namespace {
 /// Encodes the AC operator of a chain head, or -1.
 int acOpKey(TermRef T) {
-  if (T->K == Term::Kind::Binary) {
-    switch (T->BOp) {
-    case BinaryOp::Add:
-      return 1;
-    case BinaryOp::Mul:
-      return 2;
-    case BinaryOp::And:
-      return 3;
-    case BinaryOp::Or:
-      return 4;
-    default:
-      return -1;
-    }
-  }
-  if (T->K == Term::Kind::Builtin) {
-    switch (T->BK) {
+  switch (T->K) {
+  case AOp::Add:
+    return 1;
+  case AOp::Mul:
+    return 2;
+  case AOp::And:
+    return 3;
+  case AOp::Or:
+    return 4;
+  case AOp::Bi:
+    switch (T->B) {
     case BuiltinKind::MsUnion:
       return 5;
     case BuiltinKind::SetUnion:
@@ -431,23 +467,24 @@ int acOpKey(TermRef T) {
       return 7;
     case BuiltinKind::SetAdd:
       return 8;
-    case BuiltinKind::SeqConcat: // NOT commutative; excluded
-    default:
+    default: // SeqConcat is NOT commutative; excluded
       return -1;
     }
+  default:
+    return -1;
   }
-  return -1;
 }
+} // namespace
 
-void flattenAC(TermRef T, int Key, std::vector<TermRef> &Out) {
+void Solver::flattenAC(TermRef T, int Key, std::vector<TermRef> &Out) {
   if (acOpKey(T) == Key) {
-    flattenAC(T->Args[0], Key, Out);
-    flattenAC(T->Args[1], Key, Out);
+    SolverArgs Args = solverArgs(*F, T);
+    flattenAC(Args[0], Key, Out);
+    flattenAC(Args[1], Key, Out);
     return;
   }
   Out.push_back(T);
 }
-} // namespace
 
 bool Solver::acChainsEq(TermRef A, TermRef B, unsigned Depth) {
   if (Depth == 0)
@@ -501,7 +538,7 @@ bool Solver::provesEqCore(TermRef A, TermRef B) {
   if (find(A->Id) == find(B->Id))
     return true;
   // Integer antisymmetry: a <= b and b <= a.
-  if (leImplied(A, B) && leImplied(B, A))
+  if (leImplied(A, B, 0) && leImplied(B, A, 0))
     return true;
   // AC-chain matching.
   if (acChainsEq(A, B, 4))
@@ -538,37 +575,38 @@ bool Solver::provesTrueCore(TermRef B) {
     return true;
   if (B->isFalse())
     return false;
-  if (B->K == Term::Kind::Binary) {
-    if (B->BOp == BinaryOp::And)
-      return provesTrueCore(B->Args[0]) && provesTrueCore(B->Args[1]);
-    if (B->BOp == BinaryOp::Or) {
-      if (provesTrueCore(B->Args[0]) || provesTrueCore(B->Args[1]))
-        return true;
-      // fall through to propositional lookup
-    }
-    if (B->BOp == BinaryOp::Eq && provesEqCore(B->Args[0], B->Args[1]))
+  SolverArgs Args = solverArgs(*F, B);
+  switch (B->K) {
+  case AOp::And:
+    return provesTrueCore(Args[0]) && provesTrueCore(Args[1]);
+  case AOp::Or:
+    if (provesTrueCore(Args[0]) || provesTrueCore(Args[1]))
       return true;
-    if (B->BOp == BinaryOp::Le && leImplied(B->Args[0], B->Args[1]))
+    break; // fall through to propositional lookup
+  case AOp::Eq:
+    if (provesEqCore(Args[0], Args[1]))
       return true;
-  }
-  if (B->K == Term::Kind::Unary && B->UOp == UnaryOp::Not) {
-    TermRef Inner = B->Args[0];
+    break;
+  case AOp::Le:
+    if (leImplied(Args[0], Args[1], 0))
+      return true;
+    break;
+  case AOp::Not: {
+    TermRef Inner = Args[0];
     registerTerm(Inner);
     // Known-false proposition.
-    registerTerm(Arena->boolConst(false));
-    if (find(Inner->Id) == find(Arena->boolConst(false)->Id))
+    registerTerm(False);
+    if (find(Inner->Id) == find(False->Id))
       return true;
-    if (Inner->K == Term::Kind::Binary && Inner->BOp == BinaryOp::Eq) {
-      TermRef X = Inner->Args[0];
-      TermRef Y = Inner->Args[1];
+    if (Inner->K == AOp::Eq) {
+      TermRef X = Inner->Kids[0];
+      TermRef Y = Inner->Kids[1];
       registerTerm(X);
       registerTerm(Y);
       uint32_t Rx = find(X->Id), Ry = find(Y->Id);
       // Distinct constants in the two classes.
-      auto Cx = ClassConst.find(Rx);
-      auto Cy = ClassConst.find(Ry);
-      if (Cx != ClassConst.end() && Cy != ClassConst.end() &&
-          !Value::equal(Cx->second->ConstVal, Cy->second->ConstVal))
+      TermRef Cx = ClassConst[Rx], Cy = ClassConst[Ry];
+      if (Cx && Cy && !Value::equal(Cx->Val, Cy->Val))
         return true;
       // Recorded disequality.
       for (const auto &[P, Q] : Disequals) {
@@ -577,20 +615,19 @@ bool Solver::provesTrueCore(TermRef B) {
           return true;
       }
       // Strict bound separation: x + 1 <= y or y + 1 <= x.
-      if (leImplied(Arena->add(X, Arena->intConst(1)), Y) ||
-          leImplied(Arena->add(Y, Arena->intConst(1)), X))
+      if (leImplied(X, Y, 1) || leImplied(Y, X, 1))
         return true;
     }
-    if (Inner->K == Term::Kind::Binary && Inner->BOp == BinaryOp::Le) {
-      // !(a <= b)  <=>  b + 1 <= a.
-      if (leImplied(Arena->add(Inner->Args[1], Arena->intConst(1)),
-                    Inner->Args[0]))
-        return true;
-    }
+    // !(a <= b)  <=>  b + 1 <= a.
+    if (Inner->K == AOp::Le && leImplied(Inner->Kids[1], Inner->Kids[0], 1))
+      return true;
     return false;
+  }
+  default:
+    break;
   }
   // Propositional lookup: same class as `true`.
   registerTerm(B);
-  registerTerm(Arena->boolConst(true));
-  return find(B->Id) == find(Arena->boolConst(true)->Id);
+  registerTerm(True);
+  return find(B->Id) == find(True->Id);
 }

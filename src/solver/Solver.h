@@ -6,17 +6,26 @@
 ///
 /// \file
 /// The entailment engine the verifier discharges proof obligations with,
-/// replacing the Viper/Z3 backend of the paper's HyperViper tool. It
-/// combines:
+/// replacing the Viper/Z3 backend of the paper's HyperViper tool. It works
+/// on the project's one term language (absint/Term.h), over terms the
+/// verifier has normalized with absint's rewrite rules, and combines:
 ///
-///  - congruence closure over hash-consed, normalized terms (equalities
-///    propagate through all operations, which carries `Low(alpha(v))`
-///    facts to derived outputs);
+///  - congruence closure over the hash-consed terms (equalities propagate
+///    through all operations, which carries `Low(alpha(v))` facts to
+///    derived outputs);
 ///  - difference-bound reasoning for `<=` goals: a goal `a <= b` holds if
 ///    `b - a` normalizes to a non-negative constant modulo at most two
-///    assumed `<=` facts (enough for loop-counter arithmetic);
+///    assumed `<=` facts (enough for loop-counter arithmetic). The bounds
+///    are over mathematical integers, while `vops::add` wraps: a known,
+///    documented incompleteness of the soundness story (DESIGN §13);
 ///  - contradiction tracking (a contradictory context proves anything —
 ///    standard for unreachable branches).
+///
+/// The engine sees every term through `solverArgs`: an n-ary AC node is a
+/// left-nested binary chain. Certificates serialize terms the same way and
+/// the independent checker (cert/Check.cpp) replays each recorded query with
+/// its own copy of this procedure over those chains, so the verdicts agree
+/// query for query.
 ///
 /// Solvers are value types: branch verification clones the solver and the
 /// two copies diverge.
@@ -27,18 +36,33 @@
 #define COMMCSL_SOLVER_SOLVER_H
 
 #include "solver/Proof.h"
-#include "solver/Term.h"
 
+#include <array>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 namespace commcsl {
 
-/// Entailment context over a TermArena.
+/// The operands of a term as the solver and the certificate pool see them
+/// (at most three). `Add`/`Mul`/`And`/`Or` nodes become binary: a leading
+/// constant moves last (`c + x + y` is `(x + y) + c`), and three or more
+/// remaining operands nest to the left (`x + y + z` is `(x + y) + z`). The
+/// inner chain nodes are interned in \p F, so a prefix that also occurs on
+/// its own is the same term. Every other node keeps its children.
+struct SolverArgs {
+  TermRef Arg[3] = {nullptr, nullptr, nullptr};
+  unsigned N = 0;
+  const TermRef *begin() const { return Arg; }
+  const TermRef *end() const { return Arg + N; }
+  TermRef operator[](unsigned I) const { return Arg[I]; }
+};
+SolverArgs solverArgs(absint::TermFactory &F, TermRef T);
+
+/// Entailment context over a term factory.
 class Solver {
 public:
-  explicit Solver(TermArena &Arena) : Arena(&Arena) {}
+  explicit Solver(absint::TermFactory &F);
 
   /// Attaches a certificate recording sink (solver/Proof.h). Copies of this
   /// solver (branch states) inherit the pointer and their assumed prefix;
@@ -63,8 +87,6 @@ public:
   /// merged). A contradictory context proves everything.
   bool inContradiction() const { return Contradiction; }
 
-  TermArena &arena() { return *Arena; }
-
 private:
   /// Unlogged bodies of the assumption entry points. The public wrappers
   /// record the top-level fact (when a log is attached) and delegate here;
@@ -74,15 +96,23 @@ private:
   void assumeTrueImpl(TermRef B);
   void assumeEqImpl(TermRef A, TermRef B);
 
-  // Union-find over term ids (lazily registered).
+  // Union-find over the factory's dense term ids (lazily registered).
   uint32_t find(uint32_t Id);
   void registerTerm(TermRef T);
   void merge(TermRef A, TermRef B);
 
-  /// Signature of a term under current representatives, for congruence.
-  std::vector<uint64_t> signatureOf(TermRef T);
+  /// Signature of a term under current representatives, for congruence:
+  /// its operator tag and the representatives of its (at most three)
+  /// solver arguments.
+  using Signature = std::array<uint64_t, 4>;
+  struct SignatureHash {
+    size_t operator()(const Signature &S) const;
+  };
+  Signature signatureOf(TermRef T);
 
-  // Linear forms for the bounds engine.
+  /// Linear forms for the bounds engine: absint's linearization with each
+  /// atom replaced by its congruence representative (or by the integer
+  /// constant its class holds).
   struct LinForm {
     std::map<uint32_t, int64_t> Coeffs; ///< representative id -> coefficient
     int64_t Const = 0;
@@ -91,7 +121,12 @@ private:
     bool isConst() const { return Coeffs.empty(); }
   };
   LinForm linearize(TermRef T);
-  bool leImplied(TermRef A, TermRef B);
+  /// Whether `A + Bias <= B` follows from the assumed bounds.
+  bool leImplied(TermRef A, TermRef B, int64_t Bias);
+
+  /// `!B` the way the certificate checker builds it for case splits:
+  /// constants fold, a double negation strips, anything else is wrapped.
+  TermRef negate(TermRef B);
 
   /// Case-split fallback: find an undecided Ite condition in the goal and
   /// prove the goal under both polarities. Bounded depth; this is what
@@ -114,8 +149,10 @@ private:
   /// ordered congruent-but-distinct operands differently on the two
   /// execution sides.
   bool acChainsEq(TermRef A, TermRef B, unsigned Depth);
+  void flattenAC(TermRef T, int Key, std::vector<TermRef> &Out);
 
-  TermArena *Arena;
+  absint::TermFactory *F;
+  TermRef True, False, Zero;
   bool Contradiction = false;
 
   /// Theory propagation hooks, run when a class changes:
@@ -127,14 +164,24 @@ private:
   void propagateClass(uint32_t Rep,
                       std::vector<std::pair<TermRef, TermRef>> &Pending);
 
-  std::unordered_map<uint32_t, uint32_t> Parent;  ///< id -> parent id
-  std::unordered_map<uint32_t, TermRef> ById;     ///< registered terms
-  std::unordered_map<uint32_t, std::vector<TermRef>> Uses; ///< rep -> users
-  std::unordered_map<uint32_t, TermRef> ClassConst; ///< rep -> const member
+  /// An assumed bound `X + Bias <= Y`.
+  struct LeFact {
+    TermRef X, Y;
+    int64_t Bias;
+  };
+
+  /// Per-id state, indexed by the factory's dense term ids and grown on
+  /// registration, so that cloning a solver for a branch copies flat
+  /// arrays. Ids past the end are unregistered singleton classes.
+  void reserveIds(uint32_t Id);
+  std::vector<uint32_t> Parent;             ///< id -> parent id
+  std::vector<uint8_t> Registered;          ///< id -> registered?
+  std::vector<std::vector<TermRef>> Uses;   ///< rep -> users
+  std::vector<TermRef> ClassConst;          ///< rep -> const member (or null)
   /// rep -> injective-constructor members (SeqAppend, PairMk) of the class.
   std::unordered_map<uint32_t, std::vector<TermRef>> CtorMembers;
-  std::map<std::vector<uint64_t>, TermRef> Sigs;
-  std::vector<std::pair<TermRef, TermRef>> LeFacts;   ///< assumed a <= b
+  std::unordered_map<Signature, TermRef, SignatureHash> Sigs;
+  std::vector<LeFact> LeFacts;
   std::vector<std::pair<TermRef, TermRef>> Disequals; ///< assumed a != b
 
   /// Certificate recording (null outside `--emit-cert` runs).

@@ -11,52 +11,88 @@
 #include "cert/Algebra.h"
 #include "cert/Check.h"
 #include "cert/Evidence.h"
+#include "solver/Solver.h"
 
+#include <cassert>
 #include <unordered_map>
 
 using namespace commcsl;
+using absint::AOp;
 
 namespace {
 
-/// Memoized arena-term -> pool-id translation. Interning on both sides makes
-/// the mapping injective on structure, so shared subterms stay shared.
+/// Memoized term -> pool-id translation. Terms enter the pool the way the
+/// solver sees them (solverArgs): n-ary sums, products, conjunctions and
+/// disjunctions as binary chains, which is the shape the independent
+/// checker replays its entailment procedure on. Interning on both sides
+/// makes the mapping structural, so shared subterms stay shared.
 class PoolBuilder {
 public:
-  explicit PoolBuilder(cert::TermPool &Pool) : Pool(Pool) {}
+  PoolBuilder(cert::TermPool &Pool, absint::TermFactory &F)
+      : Pool(Pool), F(F) {}
 
   uint32_t idOf(TermRef T) {
     auto It = Memo.find(T);
     if (It != Memo.end())
       return It->second;
     uint32_t Id = 0;
+    SolverArgs Args = solverArgs(F, T);
     switch (T->K) {
-    case Term::Kind::Const:
-      Id = Pool.constant(T->ConstVal);
+    case AOp::Const:
+      Id = Pool.constant(T->Val);
       break;
-    case Term::Kind::Sym:
-      Id = Pool.sym(T->SymId, T->SymName);
+    case AOp::Sym:
+      Id = Pool.sym(T->SymId, T->Str);
       break;
-    case Term::Kind::Unary:
-      Id = Pool.unary(T->UOp, idOf(T->Args[0]));
+    case AOp::Not:
+      Id = Pool.unary(UnaryOp::Not, idOf(Args[0]));
       break;
-    case Term::Kind::Binary:
-      Id = Pool.binary(T->BOp, idOf(T->Args[0]), idOf(T->Args[1]));
+    case AOp::Ite:
+      Id = Pool.builtin(BuiltinKind::Ite,
+                        {idOf(Args[0]), idOf(Args[1]), idOf(Args[2])});
       break;
-    case Term::Kind::Builtin: {
-      std::vector<uint32_t> Args;
-      Args.reserve(T->Args.size());
-      for (TermRef A : T->Args)
-        Args.push_back(idOf(A));
-      Id = Pool.builtin(T->BK, std::move(Args));
+    case AOp::Bi: {
+      std::vector<uint32_t> Ids;
+      for (TermRef A : Args)
+        Ids.push_back(idOf(A));
+      Id = Pool.builtin(T->B, std::move(Ids));
       break;
     }
+    default:
+      Id = Pool.binary(binaryOpOf(T->K), idOf(Args[0]), idOf(Args[1]));
+      break;
     }
     Memo.emplace(T, Id);
     return Id;
   }
 
 private:
+  static BinaryOp binaryOpOf(AOp K) {
+    switch (K) {
+    case AOp::Add:
+      return BinaryOp::Add;
+    case AOp::Mul:
+      return BinaryOp::Mul;
+    case AOp::Div:
+      return BinaryOp::Div;
+    case AOp::Mod:
+      return BinaryOp::Mod;
+    case AOp::Eq:
+      return BinaryOp::Eq;
+    case AOp::Lt:
+      return BinaryOp::Lt;
+    case AOp::Le:
+      return BinaryOp::Le;
+    case AOp::And:
+      return BinaryOp::And;
+    default:
+      assert(K == AOp::Or && "not a binary operator");
+      return BinaryOp::Or;
+    }
+  }
+
   cert::TermPool &Pool;
+  absint::TermFactory &F;
   std::unordered_map<TermRef, uint32_t> Memo;
 };
 
@@ -75,12 +111,13 @@ void flattenTree(const absint::SplitNode *N, std::vector<std::string> &Out) {
 } // namespace
 
 cert::CertProcUnit commcsl::buildProcCertUnit(const ProofLog &Log,
+                                              absint::TermFactory &F,
                                               const std::string &Name,
                                               bool Ok) {
   cert::CertProcUnit U;
   U.Name = Name;
   U.Ok = Ok;
-  PoolBuilder B(U.Pool);
+  PoolBuilder B(U.Pool, F);
 
   U.Facts.reserve(Log.Facts.size());
   for (const ProofFact &F : Log.Facts) {

@@ -23,10 +23,12 @@
 
 namespace commcsl {
 
-/// Builds the per-procedure certificate unit from the recorded proof log.
-/// \p Ok is the verifier's verdict; a failed proc whose recorded obligations
-/// all succeeded is marked as a structural failure.
+/// Builds the per-procedure certificate unit from the recorded proof log,
+/// whose terms live in \p F. \p Ok is the verifier's verdict; a failed proc
+/// whose recorded obligations all succeeded is marked as a structural
+/// failure.
 cert::CertProcUnit buildProcCertUnit(const ProofLog &Log,
+                                     absint::TermFactory &F,
                                      const std::string &Name, bool Ok);
 
 /// Builds the per-spec certificate unit: declared scope, universe caps from

@@ -6,8 +6,10 @@
 
 #include "verifier/Verifier.h"
 
+#include "absint/Differencing.h"
 #include "rspec/RSpec.h"
 #include "solver/Proof.h"
+#include "solver/Solver.h"
 #include "support/Frac.h"
 #include "verifier/CertEmit.h"
 
@@ -22,6 +24,51 @@ using namespace commcsl;
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Terms
+//===----------------------------------------------------------------------===//
+
+/// Symbolic variable environment (one per execution side).
+using SymEnv = std::map<std::string, TermRef>;
+
+/// The verifier's term construction: absint's factory, expression
+/// translation, and rewrite rules under no facts. One normalizer serves the
+/// whole procedure, so already-normal subterms are memo hits; each call gets
+/// its own step budget and falls back to the raw term when it blows.
+/// Symbolic terms have no size cap: they are DAGs whose tree size may grow
+/// exponentially while their node count stays small.
+class TermBuilder {
+public:
+  explicit TermBuilder(const Program &Prog)
+      : Prog(Prog), NoFacts(F), Norm(F, NoFacts, {50000, UINT32_MAX}) {}
+
+  absint::TermFactory F;
+
+  /// Evaluates \p E under \p Env: resource-specification functions and
+  /// user functions are applied symbolically the same way they are applied
+  /// concretely.
+  TermRef eval(const Expr &E, const SymEnv &Env) {
+    if (TermRef T = absint::translateExpr(F, E, Env, &Prog))
+      return Norm.normalizeOrRaw(T);
+    // Only on input the type checker rules out (an untyped unbound variable,
+    // a call without its function): an unconstrained value per side, which
+    // can only make proofs fail, never succeed.
+    return F.freshSym("opaque");
+  }
+  TermRef bi(BuiltinKind B, std::vector<TermRef> Args) {
+    return Norm.normalizeOrRaw(F.bi(B, std::move(Args)));
+  }
+  TermRef ite(TermRef C, TermRef T, TermRef E) {
+    return Norm.normalizeOrRaw(F.ite(C, T, E));
+  }
+  TermRef logNot(TermRef T) { return Norm.normalizeOrRaw(F.notT(T)); }
+
+private:
+  const Program &Prog;
+  absint::FactCtx NoFacts;
+  absint::Normalizer Norm;
+};
 
 //===----------------------------------------------------------------------===//
 // Relational verification state
@@ -86,7 +133,7 @@ struct VState {
   std::map<GuardKey, GuardRt> Guards;
   std::vector<HeapCell> Heap;
 
-  explicit VState(TermArena &Arena) : Facts(Arena) {}
+  explicit VState(absint::TermFactory &F) : Facts(F) {}
 };
 
 } // namespace
@@ -101,10 +148,11 @@ class ProcContext {
 public:
   ProcContext(const Program &Prog, DiagnosticEngine &Diags,
               const ProcDecl &Proc, ProofLog *PLog = nullptr)
-      : Prog(Prog), Diags(Diags), Proc(Proc), SEval(Arena, &Prog),
-        PLog(PLog) {}
+      : Prog(Prog), Diags(Diags), Proc(Proc), TB(Prog), PLog(PLog) {}
 
   bool run(unsigned &ObligationsOut);
+
+  absint::TermFactory &factory() { return TB.F; }
 
 private:
   //===------------------------------------------------------------------===//
@@ -118,8 +166,8 @@ private:
   //===------------------------------------------------------------------===//
   // Expression evaluation (both sides)
   //===------------------------------------------------------------------===//
-  TermRef evalL(const Expr &E, VState &S) { return SEval.eval(E, S.L); }
-  TermRef evalR(const Expr &E, VState &S) { return SEval.eval(E, S.R); }
+  TermRef evalL(const Expr &E, VState &S) { return TB.eval(E, S.L); }
+  TermRef evalR(const Expr &E, VState &S) { return TB.eval(E, S.R); }
 
   /// Delimited release: evaluating `declassify e` publishes e, so from
   /// this point the two runs agree on its value. The released equality is
@@ -142,18 +190,16 @@ private:
                    TermRef Val) {
     SymEnv Env;
     Env[Param] = Val;
-    return SEval.eval(*Body, Env);
+    return TB.eval(*Body, Env);
   }
 
-  std::pair<TermRef, TermRef> freshPair(const std::string &Name,
-                                        TypeRef Ty = nullptr) {
-    return {Arena.freshSym(Name + "_L", Ty), Arena.freshSym(Name + "_R", Ty)};
+  std::pair<TermRef, TermRef> freshPair(const std::string &Name) {
+    return {TB.F.freshSym(Name + "_L"), TB.F.freshSym(Name + "_R")};
   }
 
   /// A low havoc: one shared symbol for both sides.
-  std::pair<TermRef, TermRef> freshLow(const std::string &Name,
-                                       TypeRef Ty = nullptr) {
-    TermRef T = Arena.freshSym(Name, Ty);
+  std::pair<TermRef, TermRef> freshLow(const std::string &Name) {
+    TermRef T = TB.F.freshSym(Name);
     return {T, T};
   }
 
@@ -176,28 +222,26 @@ private:
         switch (A.AtomKind) {
         case ContractAtom::Kind::Low: {
           if (A.Cond) {
-            TermRef CL = SEval.eval(*A.Cond, EnvL);
-            TermRef CR = SEval.eval(*A.Cond, EnvR);
+            TermRef CL = TB.eval(*A.Cond, EnvL);
+            TermRef CR = TB.eval(*A.Cond, EnvR);
             if (!Facts.provesEq(CL, CR))
               return false;
-            TermRef EL = SEval.eval(*A.E, EnvL);
-            TermRef ER = SEval.eval(*A.E, EnvR);
-            TermRef Def = Arena.constant(ValueFactory::unit());
-            if (!Facts.provesEq(
-                    Arena.builtin(BuiltinKind::Ite, {CL, EL, Def}),
-                    Arena.builtin(BuiltinKind::Ite, {CR, ER, Def})))
+            TermRef EL = TB.eval(*A.E, EnvL);
+            TermRef ER = TB.eval(*A.E, EnvR);
+            TermRef Def = TB.F.constant(ValueFactory::unit());
+            if (!Facts.provesEq(TB.ite(CL, EL, Def), TB.ite(CR, ER, Def)))
               return false;
             break;
           }
-          TermRef EL = SEval.eval(*A.E, EnvL);
-          TermRef ER = SEval.eval(*A.E, EnvR);
+          TermRef EL = TB.eval(*A.E, EnvL);
+          TermRef ER = TB.eval(*A.E, EnvR);
           if (!Facts.provesEq(EL, ER))
             return false;
           break;
         }
         case ContractAtom::Kind::Bool: {
-          if (!Facts.provesTrue(SEval.eval(*A.E, EnvL)) ||
-              !Facts.provesTrue(SEval.eval(*A.E, EnvR)))
+          if (!Facts.provesTrue(TB.eval(*A.E, EnvL)) ||
+              !Facts.provesTrue(TB.eval(*A.E, EnvR)))
             return false;
           break;
         }
@@ -231,19 +275,19 @@ private:
   /// actions, sequence for unique actions).
   std::pair<TermRef, TermRef> guardArgsTerm(const GuardRt &G) {
     bool Unique = G.Action->Unique;
-    TermRef AccL = Unique ? Arena.constant(ValueFactory::emptySeq())
-                          : Arena.constant(ValueFactory::emptyMultiset());
+    TermRef AccL = Unique ? TB.F.constant(ValueFactory::emptySeq())
+                          : TB.F.constant(ValueFactory::emptyMultiset());
     TermRef AccR = AccL;
     for (const GuardChunk &C : G.Chunks) {
       if (C.IsSummary) {
         BuiltinKind Join =
             Unique ? BuiltinKind::SeqConcat : BuiltinKind::MsUnion;
-        AccL = Arena.builtin(Join, {AccL, C.ColL});
-        AccR = Arena.builtin(Join, {AccR, C.ColR});
+        AccL = TB.bi(Join, {AccL, C.ColL});
+        AccR = TB.bi(Join, {AccR, C.ColR});
       } else {
         BuiltinKind Add = Unique ? BuiltinKind::SeqAppend : BuiltinKind::MsAdd;
-        AccL = Arena.builtin(Add, {AccL, C.ArgL});
-        AccR = Arena.builtin(Add, {AccR, C.ArgR});
+        AccL = TB.bi(Add, {AccL, C.ArgL});
+        AccR = TB.bi(Add, {AccR, C.ArgR});
       }
     }
     return {AccL, AccR};
@@ -251,17 +295,17 @@ private:
 
   /// Recorded-returns term per side (unique actions with returns).
   std::pair<TermRef, TermRef> guardRetsTerm(const GuardRt &G) {
-    TermRef AccL = Arena.constant(ValueFactory::emptySeq());
+    TermRef AccL = TB.F.constant(ValueFactory::emptySeq());
     TermRef AccR = AccL;
     for (const GuardChunk &C : G.Chunks) {
       if (C.IsSummary) {
         assert(C.RetsL && C.RetsR && "unique summary without returns part");
-        AccL = Arena.builtin(BuiltinKind::SeqConcat, {AccL, C.RetsL});
-        AccR = Arena.builtin(BuiltinKind::SeqConcat, {AccR, C.RetsR});
+        AccL = TB.bi(BuiltinKind::SeqConcat, {AccL, C.RetsL});
+        AccR = TB.bi(BuiltinKind::SeqConcat, {AccR, C.RetsR});
       } else {
         assert(C.RetL && C.RetR && "unique chunk without returns part");
-        AccL = Arena.builtin(BuiltinKind::SeqAppend, {AccL, C.RetL});
-        AccR = Arena.builtin(BuiltinKind::SeqAppend, {AccR, C.RetR});
+        AccL = TB.bi(BuiltinKind::SeqAppend, {AccL, C.RetL});
+        AccR = TB.bi(BuiltinKind::SeqAppend, {AccR, C.RetR});
       }
     }
     return {AccL, AccR};
@@ -291,9 +335,7 @@ private:
     GuardChunk C;
     C.IsSummary = true;
     C.AllPre = AllPre;
-    TypeRef ColTy = Action.Unique ? Type::seq(Action.ArgTy)
-                                  : Type::multiset(Action.ArgTy);
-    auto [L, R] = freshPair(Hint + "_args", ColTy);
+    auto [L, R] = freshPair(Hint + "_args");
     C.ColL = L;
     C.ColR = R;
     if (Action.Unique && Action.Returns) {
@@ -313,16 +355,16 @@ private:
     if (!C.IsSummary)
       return;
     if (Action.Unique) {
-      Facts.assumeEq(Arena.builtin(BuiltinKind::SeqLen, {C.ColL}),
-                     Arena.builtin(BuiltinKind::SeqLen, {C.ColR}));
+      Facts.assumeEq(TB.bi(BuiltinKind::SeqLen, {C.ColL}),
+                     TB.bi(BuiltinKind::SeqLen, {C.ColR}));
       if (preForcesFullLow(Action))
         Facts.assumeEq(C.ColL, C.ColR);
       if (C.RetsL)
-        Facts.assumeEq(Arena.builtin(BuiltinKind::SeqLen, {C.RetsL}),
-                       Arena.builtin(BuiltinKind::SeqLen, {C.RetsR}));
+        Facts.assumeEq(TB.bi(BuiltinKind::SeqLen, {C.RetsL}),
+                       TB.bi(BuiltinKind::SeqLen, {C.RetsR}));
     } else {
-      Facts.assumeEq(Arena.builtin(BuiltinKind::MsCard, {C.ColL}),
-                     Arena.builtin(BuiltinKind::MsCard, {C.ColR}));
+      Facts.assumeEq(TB.bi(BuiltinKind::MsCard, {C.ColL}),
+                     TB.bi(BuiltinKind::MsCard, {C.ColR}));
       if (preForcesFullLow(Action))
         Facts.assumeEq(C.ColL, C.ColR);
     }
@@ -422,8 +464,7 @@ private:
   const Program &Prog;
   DiagnosticEngine &Diags;
   const ProcDecl &Proc;
-  TermArena Arena;
-  SymEvaluator SEval;
+  TermBuilder TB;
   std::set<std::string> ParamNames;
   bool Failed = false;
   unsigned Obligations = 0;
@@ -470,24 +511,22 @@ void ProcContext::produceContract(
     case ContractAtom::Kind::Low: {
       SymEnv EnvL = EnvWith(true), EnvR = EnvWith(false);
       if (A.Cond) {
-        TermRef CL = SEval.eval(*A.Cond, EnvL);
-        TermRef CR = SEval.eval(*A.Cond, EnvR);
+        TermRef CL = TB.eval(*A.Cond, EnvL);
+        TermRef CR = TB.eval(*A.Cond, EnvR);
         S.Facts.assumeEq(CL, CR);
-        TermRef Def = Arena.constant(ValueFactory::unit());
+        TermRef Def = TB.F.constant(ValueFactory::unit());
         S.Facts.assumeEq(
-            Arena.builtin(BuiltinKind::Ite,
-                          {CL, SEval.eval(*A.E, EnvL), Def}),
-            Arena.builtin(BuiltinKind::Ite,
-                          {CR, SEval.eval(*A.E, EnvR), Def}));
+            TB.ite(CL, TB.eval(*A.E, EnvL), Def),
+            TB.ite(CR, TB.eval(*A.E, EnvR), Def));
         break;
       }
-      S.Facts.assumeEq(SEval.eval(*A.E, EnvL), SEval.eval(*A.E, EnvR));
+      S.Facts.assumeEq(TB.eval(*A.E, EnvL), TB.eval(*A.E, EnvR));
       break;
     }
     case ContractAtom::Kind::Bool: {
       SymEnv EnvL = EnvWith(true), EnvR = EnvWith(false);
-      S.Facts.assumeTrue(SEval.eval(*A.E, EnvL));
-      S.Facts.assumeTrue(SEval.eval(*A.E, EnvR));
+      S.Facts.assumeTrue(TB.eval(*A.E, EnvL));
+      S.Facts.assumeTrue(TB.eval(*A.E, EnvR));
       break;
     }
     case ContractAtom::Kind::SGuard:
@@ -551,16 +590,14 @@ bool ProcContext::consumeContract(
       ++Obligations;
       SymEnv EnvL = EnvWith(S.L, true), EnvR = EnvWith(S.R, false);
       if (A.Cond) {
-        TermRef CL = SEval.eval(*A.Cond, EnvL);
-        TermRef CR = SEval.eval(*A.Cond, EnvR);
-        TermRef Def = Arena.constant(ValueFactory::unit());
+        TermRef CL = TB.eval(*A.Cond, EnvL);
+        TermRef CR = TB.eval(*A.Cond, EnvR);
+        TermRef Def = TB.F.constant(ValueFactory::unit());
         bool Proved =
             S.Facts.provesEq(CL, CR) &&
             S.Facts.provesEq(
-                Arena.builtin(BuiltinKind::Ite,
-                              {CL, SEval.eval(*A.E, EnvL), Def}),
-                Arena.builtin(BuiltinKind::Ite,
-                              {CR, SEval.eval(*A.E, EnvR), Def}));
+                TB.ite(CL, TB.eval(*A.E, EnvL), Def),
+                TB.ite(CR, TB.eval(*A.E, EnvR), Def));
         if (!Proved) {
           error(DiagCode::VerifyEntailment, Loc,
                 std::string(What) + ": cannot prove " + A.str());
@@ -568,8 +605,8 @@ bool ProcContext::consumeContract(
         }
         break;
       }
-      if (!S.Facts.provesEq(SEval.eval(*A.E, EnvL),
-                            SEval.eval(*A.E, EnvR))) {
+      if (!S.Facts.provesEq(TB.eval(*A.E, EnvL),
+                            TB.eval(*A.E, EnvR))) {
         error(DiagCode::VerifyEntailment, Loc,
               std::string(What) + ": cannot prove " + A.str());
         Ok = false;
@@ -580,8 +617,8 @@ bool ProcContext::consumeContract(
       ObligationScope Ob(PLog, std::string(What) + ": " + A.str());
       ++Obligations;
       SymEnv EnvL = EnvWith(S.L, true), EnvR = EnvWith(S.R, false);
-      if (!S.Facts.provesTrue(SEval.eval(*A.E, EnvL)) ||
-          !S.Facts.provesTrue(SEval.eval(*A.E, EnvR))) {
+      if (!S.Facts.provesTrue(TB.eval(*A.E, EnvL)) ||
+          !S.Facts.provesTrue(TB.eval(*A.E, EnvR))) {
         error(DiagCode::VerifyEntailment, Loc,
               std::string(What) + ": cannot prove " + A.str());
         Ok = false;
@@ -657,7 +694,7 @@ void ProcContext::checkCmd(const CommandRef &C, VState &S) {
     break;
   case CmdKind::VarDecl: {
     if (C->Exprs.empty()) {
-      TermRef D = Arena.constant(C->DeclTy->defaultValue());
+      TermRef D = TB.F.constant(C->DeclTy->defaultValue());
       S.L[C->Var] = D;
       S.R[C->Var] = D;
     } else {
@@ -672,7 +709,7 @@ void ProcContext::checkCmd(const CommandRef &C, VState &S) {
     break;
   case CmdKind::Alloc: {
     // Deterministic allocator model: one location symbol for both sides.
-    TermRef Loc = Arena.freshSym(hint("loc"), Type::intTy());
+    TermRef Loc = TB.F.freshSym(hint("loc"));
     S.Heap.push_back({Loc, evalL(*C->Exprs[0], S), evalR(*C->Exprs[0], S)});
     setVar(S, C->Var, Loc, Loc, C->Loc);
     break;
@@ -859,8 +896,8 @@ void ProcContext::checkIf(const CommandRef &C, VState &S) {
   checkCmd(C->Children[0], Then);
 
   VState Else = S;
-  Else.Facts.assumeTrue(Arena.logNot(CondL));
-  Else.Facts.assumeTrue(Arena.logNot(CondR));
+  Else.Facts.assumeTrue(TB.logNot(CondL));
+  Else.Facts.assumeTrue(TB.logNot(CondR));
   checkCmd(C->Children[1], Else);
 
   // Join variables with Ite terms: per execution side this is exactly the
@@ -876,10 +913,8 @@ void ProcContext::checkIf(const CommandRef &C, VState &S) {
       S.R[V] = Then.R[V];
       continue;
     }
-    TermRef JL = Arena.builtin(BuiltinKind::Ite, {CondL, Then.L[V],
-                                                  Else.L[V]});
-    TermRef JR = Arena.builtin(BuiltinKind::Ite, {CondR, Then.R[V],
-                                                  Else.R[V]});
+    TermRef JL = TB.ite(CondL, Then.L[V], Else.L[V]);
+    TermRef JR = TB.ite(CondR, Then.R[V], Else.R[V]);
     // Transfer lowness established inside the branches (e.g. from callee
     // contracts) — sound only when the branches are aligned (low cond).
     if (LowCond && Then.Facts.provesEq(Then.L[V], Then.R[V]) &&
@@ -907,10 +942,8 @@ void ProcContext::checkIf(const CommandRef &C, VState &S) {
         NewCell.ValL = CellT.ValL;
         NewCell.ValR = CellT.ValR;
       } else {
-        NewCell.ValL = Arena.builtin(BuiltinKind::Ite,
-                                     {CondL, CellT.ValL, CellE.ValL});
-        NewCell.ValR = Arena.builtin(BuiltinKind::Ite,
-                                     {CondR, CellT.ValR, CellE.ValR});
+        NewCell.ValL = TB.ite(CondL, CellT.ValL, CellE.ValL);
+        NewCell.ValR = TB.ite(CondR, CellT.ValR, CellE.ValR);
         if (LowCond && Then.Facts.provesEq(CellT.ValL, CellT.ValR) &&
             Else.Facts.provesEq(CellE.ValL, CellE.ValR))
           S.Facts.assumeEq(NewCell.ValL, NewCell.ValR);
@@ -1020,8 +1053,8 @@ void ProcContext::checkWhile(const CommandRef &C, VState &S) {
   releaseDeclassified(C->Exprs[0], S);
   TermRef PostCondL = evalL(*C->Exprs[0], S);
   TermRef PostCondR = evalR(*C->Exprs[0], S);
-  S.Facts.assumeTrue(Arena.logNot(PostCondL));
-  S.Facts.assumeTrue(Arena.logNot(PostCondR));
+  S.Facts.assumeTrue(TB.logNot(PostCondL));
+  S.Facts.assumeTrue(TB.logNot(PostCondR));
 }
 
 } // namespace

@@ -33,8 +33,6 @@
 #include "cert/Cert.h"
 #include "lang/Program.h"
 #include "rspec/Validity.h"
-#include "solver/Solver.h"
-#include "solver/SymEval.h"
 #include "support/Diagnostics.h"
 
 #include <map>

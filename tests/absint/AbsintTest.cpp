@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "absint/Differencing.h"
+#include "absint/TermIO.h"
 
 #include "tests/common/TestUtil.h"
 
@@ -150,6 +151,123 @@ TEST(AbsintNormalizeTest, SortIsAFunctionOfTheElementMultiset) {
   auto Sort = [&](const ATerm *T) { return F.bi(BuiltinKind::SeqSort, {T}); };
   EXPECT_EQ(N.normalize(Sort(App(App(S, X), Y))),
             N.normalize(Sort(App(App(S, Y), X))));
+}
+
+TEST(AbsintNormalizeTest, SeqSumHasNoConcatRuleButFoldsGroundSequences) {
+  TermFactory F;
+  FactCtx Ctx(F);
+  Normalizer N(F, Ctx);
+  const ATerm *A = F.sym("a"), *B = F.sym("b");
+  const ATerm *T =
+      F.bi(BuiltinKind::SeqSum, {F.bi(BuiltinKind::SeqConcat, {A, B})});
+  EXPECT_EQ(N.normalize(T), T);
+  // A ground sequence folds through vops::seqSum, saturating.
+  const ATerm *Ground = F.bi(
+      BuiltinKind::SeqSum,
+      {F.bi(BuiltinKind::SeqAppend,
+            {F.bi(BuiltinKind::SeqAppend,
+                  {F.bi(BuiltinKind::SeqEmpty, {}), F.intConst(INT64_MAX)}),
+             F.intConst(1)})});
+  EXPECT_TRUE(N.normalize(Ground)->isInt(INT64_MAX));
+}
+
+TEST(AbsintNormalizeTest, StrictComparisonsShareTheirNegationsAtom) {
+  TermFactory F;
+  FactCtx Ctx(F);
+  Normalizer N(F, Ctx);
+  const ATerm *X = F.sym("x"), *Y = F.sym("y");
+  const ATerm *Le = F.app(AOp::Le, {Y, X});
+  EXPECT_EQ(N.normalize(F.app(AOp::Lt, {X, Y})), F.notT(Le));
+  EXPECT_EQ(N.normalize(F.notT(F.app(AOp::Lt, {X, Y}))), Le);
+  // No De Morgan: a negated conjunction keeps the conjunction as a subterm.
+  const ATerm *Conj = F.app(AOp::And, {X, Y});
+  EXPECT_EQ(N.normalize(F.notT(Conj)), F.notT(Conj));
+}
+
+TEST(AbsintNormalizeTest, OrdersAreDecidedOnlyWithoutWrapAround) {
+  // Ints wrap: h + 1 is below h at h = INT64_MAX. Under no facts the
+  // difference (h + 1) - h = 1 must not decide the order, so max(h, h + 1)
+  // keeps both operands; a bound that rules out the wrap lets it fold.
+  TermFactory F;
+  FactCtx NoFacts(F);
+  Normalizer N(F, NoFacts);
+  const ATerm *H = F.sym("h");
+  const ATerm *H1 = N.normalize(F.add2(H, F.intConst(1)));
+  EXPECT_EQ(NoFacts.decideCmp(H, H1, /*Strict=*/false), Tri::Unknown);
+  EXPECT_EQ(NoFacts.decideCmp(H1, H1, /*Strict=*/false), Tri::True);
+  EXPECT_EQ(NoFacts.decideCmp(H1, H1, /*Strict=*/true), Tri::False);
+  const ATerm *Max = N.normalize(F.bi(BuiltinKind::Max, {H, H1}));
+  ASSERT_EQ(Max->K, AOp::Bi);
+  EXPECT_EQ(Max->B, BuiltinKind::Max);
+  EXPECT_EQ(Max->Kids.size(), 2u);
+  EXPECT_FALSE(N.normalize(F.app(AOp::Le, {H, H1}))->isConst());
+  EXPECT_EQ(N.normalize(F.bi(BuiltinKind::Min, {H1, H1})), H1);
+  // Atoms are int64 values, so comparisons with the extremes are decided.
+  EXPECT_EQ(NoFacts.decideCmp(F.intConst(INT64_MIN), H, false), Tri::True);
+  EXPECT_EQ(NoFacts.decideCmp(H, F.intConst(INT64_MAX), true), Tri::Unknown);
+
+  FactCtx Bounded(F);
+  ASSERT_TRUE(Bounded.addBool(F.app(AOp::Le, {H, F.intConst(100)}), true));
+  Normalizer NB(F, Bounded);
+  EXPECT_EQ(Bounded.decideCmp(H, H1, /*Strict=*/true), Tri::True);
+  EXPECT_EQ(NB.normalize(F.bi(BuiltinKind::Max, {H, H1})), H1);
+  EXPECT_EQ(NB.normalize(F.bi(BuiltinKind::Min, {H, H1})), H);
+}
+
+TEST(AbsintNormalizeTest, DeclassifyAndSortRules) {
+  TermFactory F;
+  FactCtx Ctx(F);
+  Normalizer N(F, Ctx);
+  const ATerm *S = F.sym("s");
+  EXPECT_EQ(N.normalize(F.bi(BuiltinKind::Declassify, {S})), S);
+  EXPECT_EQ(N.normalize(F.bi(BuiltinKind::SeqSort, {S})),
+            F.bi(BuiltinKind::MsToSeq, {F.bi(BuiltinKind::SeqToMs, {S})}));
+  // card(seq_to_mset(s)) is len(s).
+  EXPECT_EQ(N.normalize(F.bi(BuiltinKind::MsCard,
+                             {F.bi(BuiltinKind::SeqToMs, {S})})),
+            F.bi(BuiltinKind::SeqLen, {S}));
+}
+
+//===----------------------------------------------------------------------===//
+// Terms
+//===----------------------------------------------------------------------===//
+
+TEST(AbsintTermTest, FreshSymbolsAreDistinctAndOrderedAfterNamedOnes) {
+  TermFactory F;
+  const ATerm *A = F.freshSym("x");
+  const ATerm *B = F.freshSym("x");
+  const ATerm *Named = F.sym("x");
+  EXPECT_NE(A, B);
+  EXPECT_NE(A, Named);
+  EXPECT_LT(ATerm::compare(A, B), 0);
+  EXPECT_LT(ATerm::compare(Named, A), 0);
+  EXPECT_EQ(A->str(), "x#0");
+  // Ids are dense creation indices.
+  EXPECT_EQ(A->Id, 0u);
+  EXPECT_EQ(B->Id, 1u);
+  EXPECT_EQ(Named->Id, 2u);
+}
+
+TEST(AbsintTermTest, ValueConstantsRoundTripThroughTermIO) {
+  TermFactory F, G;
+  ValueRef Map = ValueFactory::map(
+      {{iv(1), sv({2, 3})}, {iv(4), ValueFactory::emptySeq()}});
+  const ATerm *T = F.bi(
+      BuiltinKind::PairMk,
+      {F.constant(Map),
+       F.bi(BuiltinKind::MsAdd,
+            {F.constant(msv({1, 1})),
+             F.constant(pv(ValueFactory::stringV("a\"b"),
+                           ValueFactory::set({bv(true), bv(false)})))})});
+  std::string Text = printTerm(T);
+  EXPECT_EQ(Text, "(pair (#map 1 (#seq 2 3) 4 (#seq)) (mset_add (#mset 1 1) "
+                  "(#pair \"a\\\"b\" (#set #f #t))))");
+  const ATerm *Back = parseTerm(G, Text);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(printTerm(Back), Text);
+  EXPECT_EQ(ATerm::compare(Back, T), 0);
+  EXPECT_EQ(parseTerm(G, "(#pair 1)"), nullptr);
+  EXPECT_EQ(parseTerm(G, "(#seq x)"), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

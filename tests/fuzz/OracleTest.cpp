@@ -45,17 +45,19 @@ procedure main(l: int, h: int) returns (out: int)
 }
 )";
 
-/// Secure in every execution (out is always zero) but beyond the
-/// entailment engine, which cannot prove `low(h % 1)`: a *genuine*
-/// completeness gap, unlike LeakyProgram above. The one shape where an
-/// injected accept-all fault leaves no empirical trace — the forged
-/// certificate is then the only witness.
+/// Secure in every execution (out is always 1, a ring identity that also
+/// holds under wrap-around) but beyond the entailment engine: the rewrite
+/// rules collect like terms yet never distribute a product of sums, so
+/// `(h+1)*(h+1)` stays an opaque atom and `low(out)` is unprovable. A
+/// *genuine* completeness gap, unlike LeakyProgram above. The one shape
+/// where an injected accept-all fault leaves no empirical trace — the
+/// forged certificate is then the only witness.
 const char *SecureButRejectedProgram = R"(
 procedure main(l: int, h: int) returns (out: int)
   requires low(l)
   ensures low(out)
 {
-  out := h % 1;
+  out := (h + 1) * (h + 1) - h * h - 2 * h;
 }
 )";
 

@@ -125,6 +125,8 @@ const BrokenCase BrokenCorpus[] = {
     {"broken/consent_ignored.hv", DiagCode::VerifyEntailment},
     {"broken/auction_bid_leak.hv", DiagCode::VerifyEntailment},
     {"broken/tally_ballot_leak.hv", DiagCode::VerifyEntailment},
+    {"broken/sum_saturation_leak.hv", DiagCode::VerifyEntailment},
+    {"broken/max_wraparound_leak.hv", DiagCode::VerifyEntailment},
 };
 
 class BrokenTest : public ::testing::TestWithParam<BrokenCase> {};

@@ -13,6 +13,7 @@
 
 #include "solver/Solver.h"
 
+#include "tests/common/TermTestUtil.h"
 #include "tests/common/TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -23,7 +24,7 @@ using namespace commcsl::test;
 namespace {
 class SolverMore : public ::testing::Test {
 protected:
-  TermArena A;
+  NormArena A;
   TermRef i(int64_t V) { return A.intConst(V); }
   TermRef ite(TermRef C, TermRef T, TermRef E) {
     return A.builtin(BuiltinKind::Ite, {C, T, E});
@@ -32,7 +33,7 @@ protected:
 } // namespace
 
 TEST_F(SolverMore, IteCollapsesWhenConditionDecided) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef B = A.freshSym("b");
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
@@ -43,7 +44,7 @@ TEST_F(SolverMore, IteCollapsesWhenConditionDecided) {
 }
 
 TEST_F(SolverMore, IteCollapsesOnNegatedCondition) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef B = A.freshSym("b");
   TermRef T = ite(B, i(1), i(2));
   S.assumeTrue(A.logNot(B));
@@ -53,7 +54,7 @@ TEST_F(SolverMore, IteCollapsesOnNegatedCondition) {
 TEST_F(SolverMore, AssumedComparisonDecidesIteCondition) {
   // The regression behind the fuzz-found stack overflow: assuming an
   // equality/comparison must decide the proposition itself.
-  Solver S(A);
+  Solver S(A.F);
   TermRef H = A.freshSym("h");
   TermRef Cond = A.eq(A.binary(BinaryOp::Mod, H, i(8)), i(0));
   TermRef T = ite(Cond, i(1), i(2));
@@ -62,7 +63,7 @@ TEST_F(SolverMore, AssumedComparisonDecidesIteCondition) {
 }
 
 TEST_F(SolverMore, CaseSplitProvesBranchIndependentFacts) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef B = A.freshSym("b");
   TermRef T = ite(B, i(1), i(0));
   // 0 <= ite(b, 1, 0) regardless of b.
@@ -72,7 +73,7 @@ TEST_F(SolverMore, CaseSplitProvesBranchIndependentFacts) {
 }
 
 TEST_F(SolverMore, NestedCaseSplits) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef B1 = A.freshSym("b1");
   TermRef B2 = A.freshSym("b2");
   TermRef T = ite(B1, ite(B2, i(3), i(4)), i(5));
@@ -81,7 +82,7 @@ TEST_F(SolverMore, NestedCaseSplits) {
 }
 
 TEST_F(SolverMore, PairInjectivity) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X1 = A.freshSym("x1");
   TermRef X2 = A.freshSym("x2");
   TermRef Y1 = A.freshSym("y1");
@@ -94,7 +95,7 @@ TEST_F(SolverMore, PairInjectivity) {
 
 TEST_F(SolverMore, AppendInjectivityPeelsChains) {
   // The unshare history mechanism: equal append-chains have equal links.
-  Solver S(A);
+  Solver S(A.F);
   TermRef E = A.constant(ValueFactory::emptySeq());
   TermRef R1 = A.freshSym("r1");
   TermRef R2 = A.freshSym("r2");
@@ -112,7 +113,7 @@ TEST_F(SolverMore, AppendInjectivityPeelsChains) {
 }
 
 TEST_F(SolverMore, NonNegativityAxioms) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef M = A.freshSym("m");
   EXPECT_TRUE(
@@ -130,9 +131,10 @@ TEST_F(SolverMore, CommutativeCongruenceAcrossSides) {
   // max(x_L, 1) vs max(1, x_R): the per-side normal forms ordered the
   // operands differently; congruence must still connect them when the
   // sides are related.
-  Solver S(A);
+  Solver S(A.F);
   TermRef XL = A.freshSym("x_L");
-  // Force different Id-orderings by creating the constant between the syms.
+  // Create the constant between the syms, so creation order and
+  // structural order disagree.
   TermRef MaxL = A.builtin(BuiltinKind::Max, {XL, i(100)});
   TermRef XR = A.freshSym("x_R");
   TermRef MaxR = A.builtin(BuiltinKind::Max, {XR, i(100)});
@@ -141,7 +143,7 @@ TEST_F(SolverMore, CommutativeCongruenceAcrossSides) {
 }
 
 TEST_F(SolverMore, ACChainMatchingForAdds) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef XL = A.freshSym("xL");
   TermRef YL = A.freshSym("yL");
   TermRef XR = A.freshSym("xR");
@@ -153,7 +155,7 @@ TEST_F(SolverMore, ACChainMatchingForAdds) {
 }
 
 TEST_F(SolverMore, ACChainMatchingForMsUnions) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef AL = A.freshSym("aL");
   TermRef BL = A.freshSym("bL");
   TermRef AR = A.freshSym("aR");
@@ -166,7 +168,7 @@ TEST_F(SolverMore, ACChainMatchingForMsUnions) {
 }
 
 TEST_F(SolverMore, MsAddChainsMatchUpToElementPermutation) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef Base = A.constant(ValueFactory::emptyMultiset());
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
@@ -174,7 +176,8 @@ TEST_F(SolverMore, MsAddChainsMatchUpToElementPermutation) {
                          {A.builtin(BuiltinKind::MsAdd, {Base, X}), Y});
   TermRef C2 = A.builtin(BuiltinKind::MsAdd,
                          {A.builtin(BuiltinKind::MsAdd, {Base, Y}), X});
-  // Already canonicalized by the arena (sorted by id), so equal terms.
+  // Already canonicalized by the rewrite rules (elements sorted
+  // structurally), so equal terms.
   EXPECT_EQ(C1, C2);
 }
 
@@ -194,7 +197,7 @@ TEST_F(SolverMore, ConcatEmptyElimination) {
 }
 
 TEST_F(SolverMore, NegatedLeGivesStrictBound) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef N = A.freshSym("n");
   S.assumeTrue(A.logNot(A.le(X, N))); // x > n
@@ -203,7 +206,7 @@ TEST_F(SolverMore, NegatedLeGivesStrictBound) {
 }
 
 TEST_F(SolverMore, DisequalityByStrictSeparation) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef N = A.freshSym("n");
   S.assumeTrue(A.binary(BinaryOp::Lt, X, N));

@@ -3,10 +3,18 @@
 // Part of the CommCSL-C++ project.
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// The verifier's view of the one term language: terms built and normalized
+/// the way the verifier builds them (absint's factory and rewrite rules),
+/// and the entailment solver over them.
+///
+//===----------------------------------------------------------------------===//
 
 #include "solver/Solver.h"
 
-#include "solver/SymEval.h"
+#include "absint/Differencing.h"
+#include "tests/common/TermTestUtil.h"
 #include "tests/common/TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -17,8 +25,9 @@ using namespace commcsl::test;
 namespace {
 class SolverFixture : public ::testing::Test {
 protected:
-  TermArena A;
+  NormArena A;
   TermRef i(int64_t V) { return A.intConst(V); }
+  TermRef sum(TermRef S) { return A.builtin(BuiltinKind::SeqSum, {S}); }
 };
 } // namespace
 
@@ -47,18 +56,29 @@ TEST_F(SolverFixture, SubtractionNormalizesToAddOfNegated) {
   TermRef X = A.freshSym("x");
   // (x + 5) - 5 == x.
   EXPECT_EQ(A.sub(A.add(X, i(5)), i(5)), X);
-  // x - x == 0? Mul(-1, x) and x are distinct atoms; AC folding does not
-  // cancel symbolic atoms — the linear engine handles that (below).
+  // Sums collect like terms, so symbolic atoms cancel too.
+  EXPECT_EQ(A.sub(X, X), i(0));
+  EXPECT_EQ(A.add(X, X), A.binary(BinaryOp::Mul, i(2), X));
 }
 
 TEST_F(SolverFixture, ComparisonCanonicalization) {
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
-  // x < y and x + 1 <= y normalize to the same term.
-  EXPECT_EQ(A.binary(BinaryOp::Lt, X, Y),
-            A.le(A.add(X, i(1)), Y));
+  // x < y is !(y <= x): a strict comparison and its negation share one
+  // `<=` atom. (Rewriting it to x + 1 <= y would be unsound under the
+  // wrap-around arithmetic of vops::add.)
+  EXPECT_EQ(A.binary(BinaryOp::Lt, X, Y), A.logNot(A.le(Y, X)));
+  EXPECT_EQ(A.binary(BinaryOp::Gt, Y, X), A.logNot(A.le(Y, X)));
+  EXPECT_EQ(A.logNot(A.binary(BinaryOp::Lt, X, Y)), A.le(Y, X));
   // x >= y and y <= x too.
   EXPECT_EQ(A.binary(BinaryOp::Ge, X, Y), A.le(Y, X));
+}
+
+TEST_F(SolverFixture, DeclassifyIsTransparent) {
+  TermRef X = A.freshSym("x");
+  EXPECT_EQ(A.builtin(BuiltinKind::Declassify, {X}), X);
+  EXPECT_EQ(A.builtin(BuiltinKind::Declassify, {A.add(X, i(1))}),
+            A.add(i(1), X));
 }
 
 TEST_F(SolverFixture, PairProjection) {
@@ -136,8 +156,8 @@ TEST_F(SolverFixture, MeanStaysUninterpretedOnSymbolicSeqs) {
       A.binary(BinaryOp::Div, A.builtin(BuiltinKind::SeqSum, {S}),
                A.builtin(BuiltinKind::SeqLen, {S}));
   EXPECT_NE(Mean, Expanded);
-  EXPECT_EQ(Mean->K, Term::Kind::Builtin);
-  EXPECT_EQ(Mean->BK, BuiltinKind::SeqMean);
+  EXPECT_EQ(Mean->K, absint::AOp::Bi);
+  EXPECT_EQ(Mean->B, BuiltinKind::SeqMean);
 }
 
 TEST_F(SolverFixture, MeanConstantFoldsWithFloorSemantics) {
@@ -146,7 +166,7 @@ TEST_F(SolverFixture, MeanConstantFoldsWithFloorSemantics) {
       {ValueFactory::intV(-3), ValueFactory::intV(-4)});
   TermRef Mean = A.builtin(BuiltinKind::SeqMean, {A.constant(Seq)});
   ASSERT_TRUE(Mean->isConst());
-  EXPECT_EQ(Mean->ConstVal->getInt(), -4);
+  EXPECT_EQ(Mean->intVal(), -4);
 }
 
 TEST_F(SolverFixture, BooleanSimplification) {
@@ -159,11 +179,37 @@ TEST_F(SolverFixture, BooleanSimplification) {
 
 TEST_F(SolverFixture, HashConsingSharesStructure) {
   TermRef X = A.freshSym("x");
-  size_t Before = A.size();
   TermRef T1 = A.add(X, i(1));
+  size_t After = A.size();
   TermRef T2 = A.add(X, i(1));
   EXPECT_EQ(T1, T2);
-  EXPECT_EQ(A.size(), Before + 2); // the const 1 and the sum
+  EXPECT_EQ(A.size(), After); // rebuilding interns nothing new
+}
+
+TEST_F(SolverFixture, SumsStayConstantSizeOnStraightLineCode) {
+  // N pairs of `x := x + c*l; y := y + x`, symbolically executed through
+  // the verifier's translation and rewrite rules: like terms collect, so
+  // y stays `y0 + n*x0 + m*l` however long the program is.
+  Program P = parseChecked("function fx(x: int, c: int, l: int): int = "
+                           "x + c * l;\n"
+                           "function fy(y: int, x: int): int = y + x;");
+  auto SizeAfter = [&](int N) {
+    NormArena B;
+    std::map<std::string, TermRef> Env{{"x", B.freshSym("x0")},
+                                       {"y", B.freshSym("y0")},
+                                       {"l", B.freshSym("l")}};
+    for (int I = 1; I <= N; ++I) {
+      Env["c"] = B.intConst(I);
+      Env["x"] = B.norm(
+          absint::translateExpr(B.F, *P.Funcs[0].Body, Env, &P));
+      Env["y"] = B.norm(
+          absint::translateExpr(B.F, *P.Funcs[1].Body, Env, &P));
+    }
+    return Env["y"]->Size;
+  };
+  uint32_t At50 = SizeAfter(50);
+  EXPECT_EQ(At50, SizeAfter(200));
+  EXPECT_LE(At50, 8u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -171,7 +217,7 @@ TEST_F(SolverFixture, HashConsingSharesStructure) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(SolverFixture, CongruencePropagatesEqualities) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   TermRef M = A.freshSym("m");
@@ -187,7 +233,7 @@ TEST_F(SolverFixture, CongruencePropagatesEqualities) {
 
 TEST_F(SolverFixture, CongruenceIsRetroactive) {
   // Terms built before the equality is assumed still merge.
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   TermRef Fx = A.builtin(BuiltinKind::Abs, {X});
@@ -198,7 +244,7 @@ TEST_F(SolverFixture, CongruenceIsRetroactive) {
 }
 
 TEST_F(SolverFixture, TransitiveEqualities) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   TermRef Z = A.freshSym("z");
@@ -208,14 +254,14 @@ TEST_F(SolverFixture, TransitiveEqualities) {
 }
 
 TEST_F(SolverFixture, ConstantPropagation) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   S.assumeEq(X, i(3));
   EXPECT_TRUE(S.provesEq(A.add(X, i(4)), i(7)));
 }
 
 TEST_F(SolverFixture, LinearBounds) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("i");
   TermRef N = A.freshSym("n");
   S.assumeTrue(A.le(i(0), X));                     // 0 <= i
@@ -227,7 +273,7 @@ TEST_F(SolverFixture, LinearBounds) {
 }
 
 TEST_F(SolverFixture, TransitiveBounds) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   TermRef Z = A.freshSym("z");
@@ -237,7 +283,7 @@ TEST_F(SolverFixture, TransitiveBounds) {
 }
 
 TEST_F(SolverFixture, AntisymmetryProvesEquality) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   S.assumeTrue(A.le(X, Y));
@@ -247,7 +293,7 @@ TEST_F(SolverFixture, AntisymmetryProvesEquality) {
 
 TEST_F(SolverFixture, NegatedLoopConditionUsable) {
   // After a While1 loop: !(i < n) gives n <= i.
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("i");
   TermRef N = A.freshSym("n");
   S.assumeTrue(A.logNot(A.binary(BinaryOp::Lt, X, N)));
@@ -256,7 +302,7 @@ TEST_F(SolverFixture, NegatedLoopConditionUsable) {
 }
 
 TEST_F(SolverFixture, DisequalityFromDistinctConstants) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   S.assumeEq(X, i(1));
@@ -265,7 +311,7 @@ TEST_F(SolverFixture, DisequalityFromDistinctConstants) {
 }
 
 TEST_F(SolverFixture, ContradictionProvesEverything) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   S.assumeEq(X, i(1));
   S.assumeEq(X, i(2));
@@ -274,7 +320,7 @@ TEST_F(SolverFixture, ContradictionProvesEverything) {
 }
 
 TEST_F(SolverFixture, CloneIsIndependent) {
-  Solver S(A);
+  Solver S(A.F);
   TermRef X = A.freshSym("x");
   TermRef Y = A.freshSym("y");
   Solver S2 = S; // value semantics
@@ -285,7 +331,7 @@ TEST_F(SolverFixture, CloneIsIndependent) {
 
 TEST_F(SolverFixture, LownessFlowsThroughDerivedOutputs) {
   // The Fig. 3 final step: Low(dom(v)) gives Low(sort(set_to_seq(dom(v)))).
-  Solver S(A);
+  Solver S(A.F);
   TermRef VL = A.freshSym("v_L");
   TermRef VR = A.freshSym("v_R");
   S.assumeEq(A.builtin(BuiltinKind::MapDom, {VL}),
@@ -302,26 +348,56 @@ TEST_F(SolverFixture, LownessFlowsThroughDerivedOutputs) {
                           A.builtin(BuiltinKind::MapValues, {VR})));
 }
 
-TEST_F(SolverFixture, SymEvalMatchesConcreteEval) {
+TEST_F(SolverFixture, TranslationMatchesConcreteEval) {
   // Evaluating a closed expression symbolically folds to the same constant
   // the concrete evaluator produces.
   Program P = parseChecked(
       "function f(x: int): int = sum(append(append(seq_empty(), x), 2 * x));");
-  SymEvaluator SE(A, &P);
-  SymEnv Env{{"x", i(5)}};
-  TermRef T = SE.eval(*P.Funcs[0].Body, Env);
+  TermRef T = A.norm(
+      absint::translateExpr(A.F, *P.Funcs[0].Body, {{"x", i(5)}}, &P));
   ASSERT_TRUE(T->isConst());
-  EXPECT_EQ(T->ConstVal->getInt(), 15);
+  EXPECT_EQ(T->intVal(), 15);
 }
 
-TEST_F(SolverFixture, SymEvalSymbolicLowness) {
+TEST_F(SolverFixture, TranslationTotalizesPartialBuiltins) {
+  // head of an empty sequence is the element type's default, as in the
+  // concrete evaluator; only translation knows that type.
+  Program P = parseChecked(
+      "function f(s: seq<bool>): bool = head(s);");
+  TermRef T = A.norm(absint::translateExpr(
+      A.F, *P.Funcs[0].Body, {{"s", A.constant(ValueFactory::emptySeq())}},
+      &P));
+  EXPECT_TRUE(T->isFalse());
+}
+
+TEST_F(SolverFixture, TranslationSymbolicLowness) {
   // Two sides with equal inputs produce identical terms for deterministic
   // expressions — the basis of Low(e) checking.
   Program P = parseChecked(
       "function f(s: seq<int>): seq<int> = sort(concat(s, s));");
-  SymEvaluator SE(A, &P);
   TermRef S1 = A.freshSym("s");
-  TermRef T1 = SE.eval(*P.Funcs[0].Body, {{"s", S1}});
-  TermRef T2 = SE.eval(*P.Funcs[0].Body, {{"s", S1}});
+  TermRef T1 =
+      A.norm(absint::translateExpr(A.F, *P.Funcs[0].Body, {{"s", S1}}, &P));
+  TermRef T2 =
+      A.norm(absint::translateExpr(A.F, *P.Funcs[0].Body, {{"s", S1}}, &P));
   EXPECT_EQ(T1, T2);
+}
+
+TEST_F(SolverFixture, SaturatingSumIsNotAHomomorphism) {
+  // vops::seqSum saturates at the int64 boundary, so sum(concat(a, b)) may
+  // differ from sum(a) + sum(b) (and sum(append(s, 1)) from sum(s) + 1):
+  // neither may be provable.
+  Solver S(A.F);
+  TermRef SA = A.freshSym("a");
+  TermRef SB = A.freshSym("b");
+  EXPECT_FALSE(S.provesEq(
+      sum(A.builtin(BuiltinKind::SeqConcat, {SA, SB})),
+      A.add(sum(SA), sum(SB))));
+  EXPECT_FALSE(S.provesEq(
+      sum(A.builtin(BuiltinKind::SeqAppend, {SA, i(1)})),
+      A.add(sum(SA), i(1))));
+  // Ground sequences still fold, saturating like the evaluator.
+  TermRef Big = A.constant(ValueFactory::seq(
+      {ValueFactory::intV(INT64_MAX), ValueFactory::intV(1)}));
+  EXPECT_EQ(sum(Big), i(INT64_MAX));
 }

@@ -33,6 +33,34 @@ TEST(FracTest, Arithmetic) {
   EXPECT_TRUE((Half - Half).isZero());
 }
 
+TEST(FracTest, DeepSplitsStayExact) {
+  // The guard shares of a 32-deep par nest: cross-multiplying the
+  // denominators (2^63) would overflow int64.
+  Frac A = Frac::make(1, int64_t(1) << 31);
+  Frac B = Frac::make(1, int64_t(1) << 32);
+  EXPECT_EQ(A + B, Frac::make(3, int64_t(1) << 32));
+  EXPECT_EQ((A + B) - B, A);
+  EXPECT_EQ(Frac::make(1, int64_t(1) << 61).splitInto(2),
+            Frac::make(1, int64_t(1) << 62));
+}
+
+TEST(FracTest, UnrepresentableResultsOverflow) {
+  // 1/p + 1/q for coprime p, q near 2^62 needs a 124-bit denominator.
+  Frac P = Frac::make(1, (int64_t(1) << 62) - 1);
+  Frac Q = Frac::make(1, (int64_t(1) << 62) + 1);
+  Frac Sum = P + Q;
+  EXPECT_TRUE(Sum.isOverflow());
+  EXPECT_EQ(Sum.str(), "<overflow>");
+  // Overflow propagates and never satisfies a guard check.
+  EXPECT_TRUE((Sum - Q).isOverflow());
+  EXPECT_FALSE(Sum == Sum);
+  EXPECT_FALSE(Sum < Frac::one());
+  EXPECT_FALSE(Frac::one() < Sum);
+  EXPECT_FALSE(Sum.isValidAmount());
+  EXPECT_FALSE(Sum.isZero());
+  EXPECT_TRUE(Frac::make(1, int64_t(1) << 62).splitInto(2).isOverflow());
+}
+
 TEST(FracTest, Ordering) {
   EXPECT_TRUE(Frac::make(1, 3) < Frac::make(1, 2));
   EXPECT_FALSE(Frac::make(1, 2) < Frac::make(1, 2));

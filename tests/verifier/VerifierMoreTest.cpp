@@ -739,3 +739,88 @@ TEST(VerifierMoreTest, OutputAfterJoinVerifies) {
     }
   )");
 }
+
+//===----------------------------------------------------------------------===//
+// Deeply nested par: exact guard fractions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A counter shared into `par` nested \p Depth deep, every branch adding
+/// `l + k` (or `h + k` at one level when \p LeakAt is that level).
+std::string nestedParCounter(int Depth, int LeakAt) {
+  std::string Body;
+  std::string Close;
+  for (int K = 0; K <= Depth; ++K) {
+    std::string Leaf = std::string("atomic c { perform c.Add(") +
+                       (K == LeakAt ? "h" : "l") + " + " +
+                       std::to_string(K) + "); }\n";
+    if (K == Depth) {
+      Body += Leaf;
+      break;
+    }
+    Body += "par {\n" + Leaf + "} and {\n";
+    Close += "}\n";
+  }
+  return R"(
+    resource Counter {
+      state: int;
+      alpha(v) = v;
+      shared action Add(a: int) {
+        apply(v, a) = v + a;
+        requires low(a);
+      }
+    }
+    procedure main(l: int, h: int) returns (out: int)
+      requires low(l)
+      ensures low(out)
+    {
+      share c: Counter := 0;
+  )" + Body + Close +
+         R"(
+      out := unshare c;
+    }
+  )";
+}
+
+} // namespace
+
+TEST(VerifierMoreTest, FortyDeepParSplitsGuardsExactly) {
+  // Level k holds a 1/2^k share of the guard, so from depth 32 on the
+  // fraction arithmetic needs more than int64 cross products.
+  expectVerifies(nestedParCounter(40, -1));
+  expectRejected(nestedParCounter(40, 20), DiagCode::VerifyPreUnprovable);
+}
+
+//===----------------------------------------------------------------------===//
+// Function inlining depth
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// f0(x) = x + 1 and fk(x) = f(k-1)(x) + 1, and a procedure returning
+/// \p Out, which may call them.
+std::string functionChain(int Depth, const std::string &Out) {
+  std::string Funcs = "function f0(x: int): int = x + 1;\n";
+  for (int K = 1; K <= Depth; ++K)
+    Funcs += "function f" + std::to_string(K) + "(x: int): int = f" +
+             std::to_string(K - 1) + "(x) + 1;\n";
+  return Funcs + R"(
+    procedure main(l: int, h: int) returns (out: int)
+      requires low(l)
+      ensures low(out)
+    {
+      out := )" + Out + R"(;
+    }
+  )";
+}
+
+} // namespace
+
+TEST(VerifierMoreTest, DeepFunctionChainsInlineCompletely) {
+  // Functions are non-recursive, so inlining has no depth limit: a call
+  // chain 40 deep is translated through, not replaced by an opaque value.
+  expectVerifies(functionChain(40, "f40(l)"));
+  expectVerifies(functionChain(40, "f40(h) - h"));
+  expectRejected(functionChain(40, "f40(h)"), DiagCode::VerifyEntailment);
+}
