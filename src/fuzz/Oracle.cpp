@@ -192,6 +192,10 @@ SchedDiffOutcome runSchedulerDifferential(const Program &Prog,
 
 } // namespace
 
+DifferentialOracle::DifferentialOracle(OracleConfig Config)
+    : Config(std::move(Config)),
+      Verdicts(std::make_shared<SpecVerdictMemo>()) {}
+
 OracleResult DifferentialOracle::evaluate(const std::string &Source,
                                           bool GenTainted,
                                           uint64_t Seed) const {
@@ -202,6 +206,7 @@ OracleResult DifferentialOracle::evaluate(const std::string &Source,
   DriverOptions DO;
   DO.Jobs = 1; // inner phases sequential; parallelism lives across seeds
   DO.Verifier.EmitCert = true; // verdict 6 replays the certificate
+  DO.Verifier.VerdictMemo = Verdicts;
   Driver D(DO);
   DriverResult DR = D.verifySource(Source, "fuzz");
   V.ParseOk = DR.ParseOk;

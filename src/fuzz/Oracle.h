@@ -41,10 +41,13 @@
 #include "hyper/NonInterference.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
 namespace commcsl {
+
+class SpecVerdictMemo;
 
 /// Classification of the four-verdict cross-check.
 enum class OracleClass : uint8_t {
@@ -164,10 +167,15 @@ struct OracleResult {
 
 /// Cross-checks the four verdicts for one program. Deterministic: the same
 /// (Source, GenTainted, Seed, Config) always yields the same result.
+///
+/// Each oracle owns one validity-verdict memo (verifier/SpecVerdictMemo.h)
+/// that every driver it builds shares, the forged accept-all run included,
+/// so a resource spec recurring across evaluations is proved once. The
+/// memo replays verdicts exactly, so results do not depend on what was
+/// evaluated before. `evaluate` may run concurrently on one oracle.
 class DifferentialOracle {
 public:
-  explicit DifferentialOracle(OracleConfig Config = OracleConfig())
-      : Config(std::move(Config)) {}
+  explicit DifferentialOracle(OracleConfig Config = OracleConfig());
 
   /// Evaluates one program. \p GenTainted is the generator's taint verdict
   /// (false for hand-written replays believed secure). \p Seed derives the
@@ -179,6 +187,7 @@ public:
 
 private:
   OracleConfig Config;
+  std::shared_ptr<SpecVerdictMemo> Verdicts;
 };
 
 } // namespace commcsl

@@ -265,6 +265,13 @@ ShrinkResult commcsl::shrinkProgram(const std::string &Source, bool GenTainted,
   Res.Stats.StatementsBefore = countStatements(*Initial);
   Res.Stats.StatementsAfter = Res.Stats.StatementsBefore;
 
+  // The initial re-check is an oracle run like any other: a zero budget
+  // leaves the input untouched.
+  if (Config.MaxOracleRuns == 0) {
+    Res.Stats.BudgetExhausted = true;
+    return Res;
+  }
+
   // Normalize through the printer so candidate comparison is textual.
   std::string Best = Initial->str();
   ++Res.Stats.OracleRuns;

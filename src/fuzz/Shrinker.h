@@ -37,7 +37,8 @@ struct ShrinkConfig {
   /// injection included — a synthetic disagreement must be re-checked under
   /// the same fault).
   OracleConfig Oracle;
-  /// Hard cap on oracle evaluations across all passes.
+  /// Hard cap on oracle evaluations, the initial re-check of the input
+  /// included. 0 returns the input unchanged with BudgetExhausted set.
   unsigned MaxOracleRuns = 600;
   /// Cap on full fixpoint rounds (each round sweeps every pass once).
   unsigned MaxRounds = 8;

@@ -57,48 +57,58 @@ void printParams(std::ostringstream &OS, const std::vector<Param> &Params) {
 }
 } // namespace
 
-std::string Program::str() const {
+std::string Program::funcsStr() const {
   std::ostringstream OS;
   for (const FuncDecl &F : Funcs) {
     OS << "function " << F.Name << "(";
     printParams(OS, F.Params);
     OS << "): " << F.RetTy->str() << " = " << F.Body->str() << ";\n\n";
   }
-  for (const ResourceSpecDecl &S : Specs) {
-    OS << "resource " << S.Name << " {\n";
-    OS << "  state: " << S.StateTy->str() << ";\n";
-    OS << "  alpha(" << S.AlphaParam << ") = " << S.Alpha->str() << ";\n";
-    if (S.Inv)
-      OS << "  inv(" << S.AlphaParam << ") = " << S.Inv->str() << ";\n";
-    // Scope hints bound the validity checker's enumeration; dropping them
-    // on reprint would silently change the Def. 3.1 verdict of a
-    // print/parse round trip. Only non-default hints are materialized.
-    ResourceSpecDecl Defaults;
-    if (S.ScopeIntLo != Defaults.ScopeIntLo ||
-        S.ScopeIntHi != Defaults.ScopeIntHi)
-      OS << "  scope int " << S.ScopeIntLo << " .. " << S.ScopeIntHi << ";\n";
-    if (S.ScopeCollectionBound != Defaults.ScopeCollectionBound)
-      OS << "  scope size " << S.ScopeCollectionBound << ";\n";
-    for (const ActionDecl &A : S.Actions) {
-      OS << "  " << (A.Unique ? "unique" : "shared") << " action " << A.Name
-         << "(" << A.ArgName << ": " << A.ArgTy->str() << ") {\n";
-      OS << "    apply(" << A.StateName << ", " << A.ArgName
-         << ") = " << A.Apply->str() << ";\n";
-      if (A.Returns)
-        OS << "    returns(" << A.StateName << ", " << A.ArgName
-           << ") = " << A.Returns->str() << ";\n";
-      if (A.Enabled)
-        OS << "    enabled(" << A.StateName << ") = " << A.Enabled->str()
-           << ";\n";
-      if (A.History)
-        OS << "    history(" << A.StateName << ") = " << A.History->str()
-           << ";\n";
-      if (!A.Pre.empty())
-        OS << "    requires " << contractStr(A.Pre) << ";\n";
-      OS << "  }\n";
-    }
-    OS << "}\n\n";
+  return OS.str();
+}
+
+std::string ResourceSpecDecl::str() const {
+  std::ostringstream OS;
+  OS << "resource " << Name << " {\n";
+  OS << "  state: " << StateTy->str() << ";\n";
+  OS << "  alpha(" << AlphaParam << ") = " << Alpha->str() << ";\n";
+  if (Inv)
+    OS << "  inv(" << AlphaParam << ") = " << Inv->str() << ";\n";
+  // Scope hints bound the validity checker's enumeration; dropping them
+  // on reprint would silently change the Def. 3.1 verdict of a
+  // print/parse round trip. Only non-default hints are materialized.
+  ResourceSpecDecl Defaults;
+  if (ScopeIntLo != Defaults.ScopeIntLo || ScopeIntHi != Defaults.ScopeIntHi)
+    OS << "  scope int " << ScopeIntLo << " .. " << ScopeIntHi << ";\n";
+  if (ScopeCollectionBound != Defaults.ScopeCollectionBound)
+    OS << "  scope size " << ScopeCollectionBound << ";\n";
+  for (const ActionDecl &A : Actions) {
+    OS << "  " << (A.Unique ? "unique" : "shared") << " action " << A.Name
+       << "(" << A.ArgName << ": " << A.ArgTy->str() << ") {\n";
+    OS << "    apply(" << A.StateName << ", " << A.ArgName
+       << ") = " << A.Apply->str() << ";\n";
+    if (A.Returns)
+      OS << "    returns(" << A.StateName << ", " << A.ArgName
+         << ") = " << A.Returns->str() << ";\n";
+    if (A.Enabled)
+      OS << "    enabled(" << A.StateName << ") = " << A.Enabled->str()
+         << ";\n";
+    if (A.History)
+      OS << "    history(" << A.StateName << ") = " << A.History->str()
+         << ";\n";
+    if (!A.Pre.empty())
+      OS << "    requires " << contractStr(A.Pre) << ";\n";
+    OS << "  }\n";
   }
+  OS << "}\n\n";
+  return OS.str();
+}
+
+std::string Program::str() const {
+  std::ostringstream OS;
+  OS << funcsStr();
+  for (const ResourceSpecDecl &S : Specs)
+    OS << S.str();
   for (const ProcDecl &P : Procs) {
     OS << "procedure " << P.Name << "(";
     printParams(OS, P.Params);

@@ -103,6 +103,9 @@ struct ResourceSpecDecl {
         return &A;
     return nullptr;
   }
+
+  /// Renders the declaration in surface syntax (as Program::str does).
+  std::string str() const;
 };
 
 /// A procedure with relational contracts.
@@ -159,6 +162,8 @@ struct Program {
 
   /// Renders the whole program in surface syntax.
   std::string str() const;
+  /// Renders the function declarations only, in declaration order.
+  std::string funcsStr() const;
 };
 
 /// Structural equality of whole programs: same declarations in the same

@@ -109,7 +109,9 @@ private:
   mutable std::atomic<bool> Fired{false};
 };
 
-/// Budgets for the validity checker's tiers.
+/// Budgets for the validity checker's tiers. Every field that can change a
+/// result is part of the verifier's verdict-memo key (`verdictKey` in
+/// verifier/VerifierImpl.inc); a new such field must be added there.
 struct ValidityConfig {
   /// Cap on enumerated resource states.
   size_t MaxStates = 300;

@@ -34,6 +34,7 @@
 #include "lang/Program.h"
 #include "rspec/Validity.h"
 #include "support/Diagnostics.h"
+#include "verifier/SpecVerdictMemo.h"
 
 #include <map>
 #include <optional>
@@ -58,6 +59,14 @@ struct VerifierConfig {
   /// change. The registry must not outlive the Program that owns the spec
   /// declarations used to key it.
   std::shared_ptr<SpecCacheRegistry> SpecCaches;
+  /// Optional content-keyed memo of validity verdicts. When set,
+  /// `verifySpec` runs the ValidityChecker only for a spec text, function
+  /// set and result-relevant configuration the memo has not seen; a hit
+  /// replays the stored verdict, counterexample and certificate unit, with
+  /// diagnostics placed at the current declaration. Reports are identical
+  /// with or without it. Null (the CLI, serve and direct-Verifier default)
+  /// checks every spec afresh.
+  std::shared_ptr<SpecVerdictMemo> VerdictMemo;
   /// Record proof certificates: per-spec validity evidence and per-proc
   /// entailment derivations (cert/Cert.h), re-checkable by the independent
   /// checker without the solver or verifier libraries.

@@ -14,6 +14,7 @@
 
 #include "fuzz/Oracle.h"
 
+#include "support/trace/Metrics.h"
 #include "testgen/ProgramGen.h"
 #include "tests/common/TestUtil.h"
 
@@ -239,6 +240,71 @@ TEST(OracleTest, EvaluationIsDeterministic) {
     EXPECT_EQ(A.Detail, B.Detail);
     EXPECT_EQ(A.Verdicts.EmpiricalLeak, B.Verdicts.EmpiricalLeak);
   }
+}
+
+TEST(OracleTest, RepeatedEvaluationReplaysMemoizedVerdicts) {
+  // A shared counter: its spec is proved on the first evaluation and
+  // replayed from the oracle's verdict memo on the second.
+  const char *Shared = R"(
+resource Counter {
+  state: int;
+  alpha(v) = v;
+  shared action Add(a: int) {
+    apply(v, a) = v + a;
+    requires low(a);
+  }
+}
+
+procedure main(l: int, h: int) returns (out: int)
+  requires low(l)
+  ensures low(out)
+{
+  share c: Counter := 0;
+  par {
+    atomic c { perform c.Add(l); }
+  } and {
+    atomic c { perform c.Add(1); }
+  }
+  out := unshare c;
+}
+)";
+  MetricsRegistry &M = MetricsRegistry::global();
+  Metric_Counter &Computed = M.counter("validity.verdict_memo.computed");
+  Metric_Counter &Hits = M.counter("validity.verdict_memo.hits");
+  DifferentialOracle Oracle;
+
+  uint64_t C0 = Computed.value(), H0 = Hits.value();
+  OracleResult A = Oracle.evaluate(Shared, false, 7);
+  uint64_t C1 = Computed.value(), H1 = Hits.value();
+  OracleResult B = Oracle.evaluate(Shared, false, 7);
+  EXPECT_EQ(C1 - C0, 1u);
+  EXPECT_EQ(H1 - H0, 0u);
+  EXPECT_EQ(Computed.value(), C1) << "second evaluation re-proved the spec";
+  EXPECT_EQ(Hits.value() - H1, 1u);
+
+  EXPECT_EQ(A.Class, OracleClass::Agree) << A.Detail;
+  EXPECT_TRUE(A.Verdicts.Verified);
+  EXPECT_TRUE(A.Verdicts.CertRan);
+  EXPECT_EQ(A.Class, B.Class);
+  EXPECT_EQ(A.Detail, B.Detail);
+  const OracleVerdicts &VA = A.Verdicts, &VB = B.Verdicts;
+  EXPECT_EQ(VA.GenTainted, VB.GenTainted);
+  EXPECT_EQ(VA.ParseOk, VB.ParseOk);
+  EXPECT_EQ(VA.Verified, VB.Verified);
+  EXPECT_EQ(VA.Injected, VB.Injected);
+  EXPECT_EQ(VA.NIRan, VB.NIRan);
+  EXPECT_EQ(VA.NISecure, VB.NISecure);
+  EXPECT_EQ(VA.NIKind, VB.NIKind);
+  EXPECT_EQ(VA.SchedRan, VB.SchedRan);
+  EXPECT_EQ(VA.SchedStable, VB.SchedStable);
+  EXPECT_EQ(VA.SchedKind, VB.SchedKind);
+  EXPECT_EQ(VA.StaticRan, VB.StaticRan);
+  EXPECT_EQ(VA.StaticSecure, VB.StaticSecure);
+  EXPECT_EQ(VA.StaticDetail, VB.StaticDetail);
+  EXPECT_EQ(VA.CertRan, VB.CertRan);
+  EXPECT_EQ(VA.CertOk, VB.CertOk);
+  EXPECT_EQ(VA.CertError, VB.CertError);
+  EXPECT_EQ(VA.EmpiricalLeak, VB.EmpiricalLeak);
 }
 
 TEST(OracleTest, GeneratedSeedsAgree) {

@@ -165,6 +165,24 @@ TEST(ShrinkerTest, OracleBudgetIsRespected) {
   EXPECT_FALSE(Diags.hasErrors()) << R.Source;
 }
 
+TEST(ShrinkerTest, ZeroBudgetRunsNoOracle) {
+  ShrinkConfig Config;
+  Config.Oracle.Inject = OracleFault::AcceptAll;
+  Config.MaxOracleRuns = 0;
+  DifferentialOracle Oracle(Config.Oracle);
+  InjectedFinding F = findInjectedLeak(Oracle);
+  ASSERT_FALSE(F.Source.empty());
+
+  ShrinkResult R = shrinkProgram(F.Source, true,
+                                 OracleClass::SoundnessViolation, F.Seed,
+                                 Config);
+  EXPECT_EQ(R.Stats.OracleRuns, 0u);
+  EXPECT_TRUE(R.Stats.BudgetExhausted);
+  EXPECT_EQ(R.Stats.Reductions, 0u);
+  EXPECT_EQ(R.Source, F.Source);
+  EXPECT_EQ(R.Class, OracleClass::SoundnessViolation);
+}
+
 TEST(ShrinkerTest, ShrinkIsDeterministic) {
   ShrinkConfig Config;
   Config.Oracle.Inject = OracleFault::AcceptAll;
