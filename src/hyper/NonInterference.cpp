@@ -7,7 +7,6 @@
 #include "hyper/NonInterference.h"
 
 #include "sem/Scheduler.h"
-#include "support/Arena.h"
 #include "support/ThreadPool.h"
 #include "support/trace/Metrics.h"
 #include "support/trace/Stopwatch.h"
@@ -87,7 +86,7 @@ NIReport NonInterferenceHarness::run() {
   SpecCaches = !Config.MemoizeSpecEval ? nullptr
                : Config.SharedSpecCaches
                    ? Config.SharedSpecCaches
-                   : std::make_shared<SpecCacheRegistry>(Config.MemoMaxEntries);
+                   : std::make_shared<SpecCacheRegistry>();
 
   std::vector<DomainRef> ParamDoms;
   for (const Param &P : Proc->Params)
@@ -119,9 +118,6 @@ NIReport NonInterferenceHarness::run() {
   ThreadPool::shared().parallelForChunks(
       Config.Trials, Jobs, [&](uint64_t Begin, uint64_t End, unsigned Chunk) {
         Stopwatch C0;
-        // Trial-transient values (sampled inputs, run states) come from a
-        // chunk-local arena; only violation witnesses escape it.
-        ArenaScope ChunkAS;
         for (uint64_t Trial = Begin; Trial < End; ++Trial) {
           // A trial after an already-known violating one contributes
           // nothing to the merged report; skip it.

@@ -68,8 +68,6 @@ struct NIConfig {
   /// so the report (counts, violation) is bit-identical with memoization on
   /// or off; only speed and the diagnostic cache counters change.
   bool MemoizeSpecEval = true;
-  /// Capacity bound per spec cache (entries across both memo tables).
-  size_t MemoMaxEntries = SpecEvalCache::DefaultMaxEntries;
   /// Optional externally owned registry. When set (and MemoizeSpecEval is
   /// on) the sweep evaluates through it instead of building a private
   /// per-run registry, so memo entries survive across sweeps — the serve

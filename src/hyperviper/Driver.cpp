@@ -152,7 +152,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
   }
 
   VerifierConfig VC = Options.Verifier;
-  VC.SpecCaches = Options.SpecCaches;
   if (VC.Validity.Jobs == 0)
     VC.Validity.Jobs = Options.Jobs;
   unsigned Jobs = ThreadPool::effectiveJobs(Options.Jobs);
@@ -302,7 +301,7 @@ NIReport Driver::runEmpirical(const DriverResult &Result,
   if (Config.Jobs == 0)
     Config.Jobs = Options.Jobs;
   if (!Config.SharedSpecCaches)
-    Config.SharedSpecCaches = Options.SpecCaches;
+    Config.SharedSpecCaches = Options.Verifier.SpecCaches;
   NonInterferenceHarness Harness(*Result.Prog, ProcName, Config);
   return Harness.run();
 }

@@ -97,12 +97,6 @@ struct DriverOptions {
   /// counted in DriverResult::TriageSkipped). Verdicts are identical to
   /// the full pipeline by the strict mode's soundness contract.
   bool Triage = false;
-  /// Optional shared per-spec memo-cache registry, forwarded to the
-  /// verifier (validity phase) and the NI harness so evaluations stay warm
-  /// across Driver runs over the same Program. Null (the one-shot CLI
-  /// default) gives every run private caches. See
-  /// VerifierConfig::SpecCaches for the lifetime contract.
-  std::shared_ptr<SpecCacheRegistry> SpecCaches;
 };
 
 /// The verification driver.

@@ -6,7 +6,6 @@
 
 #include "rspec/Validity.h"
 
-#include "support/Arena.h"
 #include "support/ThreadPool.h"
 #include "support/trace/Metrics.h"
 #include "support/trace/Stopwatch.h"
@@ -93,8 +92,7 @@ ValidityChecker::ValidityChecker(const RSpecRuntime &Runtime,
                                  ValidityConfig Config)
     : Runtime(Runtime), Config(Config) {
   if (Config.Memoize && !this->Runtime.cache())
-    this->Runtime.attachCache(
-        std::make_shared<SpecEvalCache>(Config.MemoMaxEntries));
+    this->Runtime.attachCache(std::make_shared<SpecEvalCache>());
   const ResourceSpecDecl &Decl = Runtime.decl();
   Scope.IntLo = Decl.ScopeIntLo;
   Scope.IntHi = Decl.ScopeIntHi;
@@ -239,9 +237,6 @@ ValidityChecker::buildPreTable(const ActionDecl &A,
   unsigned Jobs = ThreadPool::effectiveJobs(Config.Jobs);
   ThreadPool::shared().parallelForChunks(
       Table.size(), Jobs, [&](uint64_t Begin, uint64_t End, unsigned) {
-        // Chunk-local arena: intermediates die with the chunk, escaping
-        // table cells pin only the blocks they live in.
-        ArenaScope ChunkAS;
         for (uint64_t I = Begin; I < End; ++I)
           Table[I] = Runtime.alphaOf(
               Runtime.applyAction(A, States[I / NArgs], Args[I % NArgs]));
@@ -264,7 +259,6 @@ void ValidityChecker::buildCommTables(const ActionDecl &A, const ActionDecl &B,
   // one-action intermediate f_A(s, argA) across every argB.
   ThreadPool::shared().parallelForChunks(
       States.size() * NA, Jobs, [&](uint64_t Begin, uint64_t End, unsigned) {
-        ArenaScope ChunkAS;
         for (uint64_t I = Begin; I < End; ++I) {
           size_t S = size_t(I / NA), AI = size_t(I % NA);
           ValueRef Mid = Runtime.applyAction(A, States[S], ArgsA[AI]);
@@ -277,7 +271,6 @@ void ValidityChecker::buildCommTables(const ActionDecl &A, const ActionDecl &B,
   // the same [s][argA][argB] layout the lookup uses.
   ThreadPool::shared().parallelForChunks(
       States.size() * NB, Jobs, [&](uint64_t Begin, uint64_t End, unsigned) {
-        ArenaScope ChunkAS;
         for (uint64_t I = Begin; I < End; ++I) {
           size_t S = size_t(I / NB), BI = size_t(I % NB);
           ValueRef Mid = Runtime.applyAction(B, States[S], ArgsB[BI]);
@@ -335,10 +328,6 @@ bool ValidityChecker::runBoundedTier(size_t NumArgPairs,
           return "chunk " + std::to_string(Chunk);
         });
         Stopwatch C0;
-        // Values the instance checks create (intermediate states, abstract
-        // results) are chunk-transient except the few that escape into a
-        // counterexample; serve them from a chunk-local arena.
-        ArenaScope ChunkAS;
         size_t K = static_cast<size_t>(
             std::upper_bound(Offsets.begin(), Offsets.end(), Begin) -
             Offsets.begin() - 1);

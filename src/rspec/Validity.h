@@ -148,8 +148,6 @@ struct ValidityConfig {
   /// are bit-identical with memoization on or off; only speed (and the
   /// diagnostic cache counters in ValidityResult) changes.
   bool Memoize = true;
-  /// Capacity bound of the memo cache (entries across both tables).
-  size_t MemoMaxEntries = SpecEvalCache::DefaultMaxEntries;
 };
 
 /// A concrete refutation of validity.

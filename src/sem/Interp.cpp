@@ -6,8 +6,6 @@
 
 #include "sem/Interp.h"
 
-#include "support/Arena.h"
-
 #include <cassert>
 
 using namespace commcsl;
@@ -322,12 +320,6 @@ RunResult Interpreter::runWith(const std::string &ProcName,
   Main.Stack.reserve(8);
   Main.Stack.push_back({Proc->Body.get(), 0, MainAct.get()});
   S.Threads.push_back(std::move(Main));
-
-  // Values created during the run (loop counters, intermediate states,
-  // log entries) are run-transient: serve them from a run-local arena.
-  // Returned values and resource logs escape into the result, which pins
-  // exactly the blocks they occupy.
-  ArenaScope RunArena;
 
   uint64_t Steps = 0;
   std::vector<size_t> Runnable; // hoisted: reused across steps

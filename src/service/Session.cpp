@@ -95,8 +95,7 @@ Session::obtain(const std::string &Source, const std::string &Name,
     TraceSpan Span("service", [&] { return "parse " + Name; });
     Fresh->Unit = D.parseAndCheck(Source, Name);
   }
-  Fresh->SpecCaches =
-      std::make_shared<SpecCacheRegistry>(Options.MemoMaxEntries);
+  Fresh->SpecCaches = std::make_shared<SpecCacheRegistry>();
 
   std::lock_guard<std::mutex> Lock(Mu);
   auto [It, Inserted] = Programs.emplace(Source, Fresh);
@@ -130,7 +129,7 @@ Session::driverOptions(const ServiceRequest &Request,
   O.Triage = Request.Triage || Options.Triage;
   O.Verifier.SkipValidityCheck = Request.NoValidity;
   O.Verifier.EmitCert = Request.EmitCert;
-  O.SpecCaches = P->SpecCaches;
+  O.Verifier.SpecCaches = P->SpecCaches;
   return O;
 }
 

@@ -54,8 +54,6 @@ struct SessionOptions {
   /// Parsed programs kept warm (LRU beyond this). Evicting a program also
   /// drops its spec memo caches.
   size_t MaxCachedPrograms = 32;
-  /// Capacity bound per spec memo cache.
-  size_t MemoMaxEntries = SpecEvalCache::DefaultMaxEntries;
 };
 
 /// One service request. `Verb` selects the subsystem; the source-based

@@ -6,8 +6,6 @@
 
 #include "value/Intern.h"
 
-#include "support/Arena.h"
-
 #include <algorithm>
 
 using namespace commcsl;
@@ -23,27 +21,9 @@ ValueInterner &ValueInterner::global() {
   return *I;
 }
 
-namespace {
-
-/// Moves a staged value to its final storage: the calling thread's active
-/// arena when an ArenaScope is installed, the plain heap otherwise.  With an
-/// arena, std::allocate_shared places the control block and the Value in the
-/// same bump block, and the allocator copy stored in the control block pins
-/// that block for exactly as long as the value lives.
-std::shared_ptr<Value> materialize(Value &&Staged) {
-  if (Arena *A = ArenaScope::current()) {
-    // Slack covers the shared_ptr control block and alignment.
-    ArenaAllocator<Value> Alloc(A->currentBlock(sizeof(Value) + 64));
-    return std::allocate_shared<Value>(Alloc, std::move(Staged));
-  }
-  return std::make_shared<Value>(std::move(Staged));
-}
-
-} // namespace
-
 ValueRef ValueInterner::intern(Value &&Staged) {
   if (!enabled())
-    return materialize(std::move(Staged));
+    return std::make_shared<Value>(std::move(Staged));
 
   size_t H = Staged.hash();
   Shard &S = Shards[H & (NumShards - 1)];
@@ -65,7 +45,7 @@ ValueRef ValueInterner::intern(Value &&Staged) {
   }
 
   ++S.Misses;
-  std::shared_ptr<Value> Fresh = materialize(std::move(Staged));
+  std::shared_ptr<Value> Fresh = std::make_shared<Value>(std::move(Staged));
   Fresh->Interned = true;
   ValueRef Ref = std::move(Fresh);
   S.Table.emplace(H, Ref);

@@ -74,9 +74,8 @@ public:
 
   /// Canonicalizes a staged (stack-built) value: returns the existing
   /// canonical representative, performing no allocation at all on a hit, or
-  /// materializes \p Staged on the heap — or the calling thread's active
-  /// `ArenaScope` arena — and adopts it as canonical. \p Staged must have
-  /// its hash fixed.
+  /// materializes \p Staged on the heap and adopts it as canonical.
+  /// \p Staged must have its hash fixed.
   ValueRef intern(Value &&Staged);
 
   Stats stats() const;

@@ -6,7 +6,6 @@
 
 #include "value/Value.h"
 
-#include "support/Arena.h"
 #include "support/StringUtils.h"
 #include "value/Intern.h"
 
@@ -174,10 +173,7 @@ ValueRef ValueFactory::finish(Value &&V) {
 }
 
 ValueRef ValueFactory::unit() {
-  static ValueRef Cached = [] {
-    ArenaSuspend Suspend; // process-lifetime singleton: never arena-placed
-    return finish(Value(ValueKind::Unit));
-  }();
+  static ValueRef Cached = finish(Value(ValueKind::Unit));
   return Cached;
 }
 
@@ -197,7 +193,6 @@ namespace {
 // intV fast path; until then the null check in intV routes every call
 // through intVSlow, which produces the same canonical (interned) values.
 const ValueRef *ValueFactory::SmallIntCache = [] {
-  ArenaSuspend Suspend;
   static std::array<ValueRef, size_t(SmallIntMax - SmallIntMin + 1)> Table;
   for (int64_t K = SmallIntMin; K <= SmallIntMax; ++K) {
     Value V(ValueKind::Int);
@@ -215,13 +210,11 @@ ValueRef ValueFactory::intVSlow(int64_t I) {
 
 ValueRef ValueFactory::boolV(bool B) {
   static ValueRef CachedFalse = [] {
-    ArenaSuspend Suspend;
     Value V(ValueKind::Bool);
     V.IntVal = 0;
     return finish(std::move(V));
   }();
   static ValueRef CachedTrue = [] {
-    ArenaSuspend Suspend;
     Value V(ValueKind::Bool);
     V.IntVal = 1;
     return finish(std::move(V));
@@ -332,33 +325,21 @@ ValueFactory::map(std::vector<std::pair<ValueRef, ValueRef>> Entries) {
 }
 
 ValueRef ValueFactory::emptySeq() {
-  static ValueRef Cached = [] {
-    ArenaSuspend Suspend;
-    return seq(nullptr, size_t(0));
-  }();
+  static ValueRef Cached = seq(nullptr, size_t(0));
   return Cached;
 }
 
 ValueRef ValueFactory::emptySet() {
-  static ValueRef Cached = [] {
-    ArenaSuspend Suspend;
-    return set(nullptr, size_t(0));
-  }();
+  static ValueRef Cached = set(nullptr, size_t(0));
   return Cached;
 }
 
 ValueRef ValueFactory::emptyMultiset() {
-  static ValueRef Cached = [] {
-    ArenaSuspend Suspend;
-    return multiset(nullptr, size_t(0));
-  }();
+  static ValueRef Cached = multiset(nullptr, size_t(0));
   return Cached;
 }
 
 ValueRef ValueFactory::emptyMap() {
-  static ValueRef Cached = [] {
-    ArenaSuspend Suspend;
-    return map({});
-  }();
+  static ValueRef Cached = map({});
   return Cached;
 }

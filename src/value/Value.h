@@ -32,9 +32,8 @@
 /// equal values share one canonical `Value` object, so `Value::equal` and
 /// `ValueRefHash` are O(1) pointer/word operations. The structural hash is
 /// computed once at construction and stored.  Values are staged on the
-/// stack and only materialized on the heap (or the active `ArenaScope`'s
-/// bump arena — see support/Arena.h) on an interner miss, so a hash-cons
-/// hit performs no allocation at all.
+/// stack and only materialized on the heap on an interner miss, so a
+/// hash-cons hit performs no allocation at all.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <set>
 #include <sstream>
 
 using namespace commcsl;

@@ -38,7 +38,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -57,7 +56,8 @@ struct VerifierConfig {
   /// evaluation is pure, so verdicts, counterexamples, and diagnostics are
   /// identical warm or cold; only the (diagnostic) hit/miss counters
   /// change. The registry must not outlive the Program that owns the spec
-  /// declarations used to key it.
+  /// declarations used to key it. `Driver::runEmpirical` forwards it to the
+  /// NI harness when the harness config names no registry of its own.
   std::shared_ptr<SpecCacheRegistry> SpecCaches;
   /// Optional content-keyed memo of validity verdicts. When set,
   /// `verifySpec` runs the ValidityChecker only for a spec text, function
@@ -137,10 +137,8 @@ private:
   const Program &Prog;
   DiagnosticEngine &Diags;
   VerifierConfig Config;
-  std::set<std::string> ValidatedSpecs; ///< cache of validity results
-  CacheStats SpecCache;                 ///< summed ValidityResult::Cache
-  /// Spec certificate units by name, so a cached validity verdict still
-  /// yields its (deterministic) unit on later verifyAll calls.
+  CacheStats SpecCache; ///< summed ValidityResult::Cache
+  /// Spec certificate units built so far (EmitCert only), by name.
   std::map<std::string, cert::CertSpecUnit> SpecUnits;
 };
 

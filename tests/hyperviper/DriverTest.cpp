@@ -112,3 +112,39 @@ TEST(DriverTest, RejectionKeepsDiagnostics) {
   EXPECT_FALSE(R.Verified);
   EXPECT_TRUE(R.Diags.hasErrorWithCode(DiagCode::VerifyEntailment));
 }
+
+// A registry set on the verifier config is the one the validity phase and
+// the empirical harness evaluate through; the driver must not replace it.
+TEST(DriverTest, VerifierSpecCachesReachValidityAndNI) {
+  auto Registry = std::make_shared<SpecCacheRegistry>();
+  DriverOptions Options;
+  Options.Jobs = 1;
+  Options.Verifier.SpecCaches = Registry;
+  Driver D(Options);
+  DriverResult R = D.verifySource(R"(
+    resource Counter {
+      state: int;
+      alpha(v) = v;
+      shared action Add(a: int) { apply(v, a) = v + a; requires low(a); }
+    }
+    procedure main(l: int) returns (out: int)
+      requires low(l)
+      ensures low(out)
+    {
+      share r: Counter := 0;
+      atomic r { perform r.Add(l); }
+      out := unshare r;
+    }
+  )",
+                                  "t");
+  ASSERT_TRUE(R.Verified) << R.Diags.str("t");
+  EXPECT_EQ(Registry->size(), 1u);
+  CacheStats AfterValidity = Registry->totals();
+
+  NIConfig NC;
+  NC.Trials = 4;
+  D.runEmpirical(R, "main", NC);
+  CacheStats AfterNI = Registry->totals();
+  EXPECT_GT(AfterNI.hits() + AfterNI.misses(),
+            AfterValidity.hits() + AfterValidity.misses());
+}
