@@ -293,6 +293,9 @@ void BM_InternMemoAblation_MapKeySet(benchmark::State &State) {
     Program P = parseSpec(Source);
     RSpecRuntime Runtime(P.Specs[0], &P);
     ValidityConfig Cfg;
+    // The absint tier proves MapKS unbounded before any enumeration; off,
+    // so the bounded tier this ablates actually runs.
+    Cfg.RunAbsintTier = false;
     Cfg.RunRandomTier = false;
     Cfg.Jobs = 1;
     Cfg.Memoize = Memo;
@@ -304,6 +307,10 @@ void BM_InternMemoAblation_MapKeySet(benchmark::State &State) {
       if (!R.Valid)
         State.SkipWithError("unexpected validity verdict");
       Checks = R.BoundedChecks;
+      if (Checks == 0) {
+        State.SkipWithError("no bounded checks ran: nothing is measured");
+        break;
+      }
       uint64_t Lookups = R.Cache.hits() + R.Cache.misses();
       HitRate = Lookups ? static_cast<double>(R.Cache.hits()) / Lookups : 0;
       benchmark::DoNotOptimize(R);

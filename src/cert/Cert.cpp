@@ -6,9 +6,15 @@
 
 #include "cert/Cert.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <span>
+#include <string_view>
 
 using namespace commcsl;
 using namespace commcsl::cert;
@@ -403,6 +409,12 @@ std::string cert::printValue(const ValueRef &V) {
   return Out;
 }
 
+std::string cert::printSpecUnit(const CertSpecUnit &S) {
+  std::string Out;
+  printSpecInto(S, Out);
+  return Out;
+}
+
 std::string cert::print(const Certificate &C) {
   std::string Out;
   Out.reserve(4096);
@@ -425,11 +437,14 @@ std::string cert::print(const Certificate &C) {
 
 namespace {
 
+/// One node of a read document. Nodes are trivially copyable views: atom
+/// text points into the input (string payloads into the reader's unescaped
+/// copies), and a list's kids are one contiguous block the reader owns.
 struct SExpr {
   bool IsList = false;
   bool IsString = false; ///< atom came quoted
-  std::string Atom;      ///< atom text or unescaped string payload
-  std::vector<SExpr> Kids;
+  std::string_view Atom; ///< atom text or unescaped string payload
+  std::span<const SExpr> Kids;
 
   bool isAtom(const char *S) const {
     return !IsList && !IsString && Atom == S;
@@ -440,6 +455,10 @@ struct SExpr {
   }
 };
 
+/// Reads one s-expression. Kids are collected on a shared stack and copied
+/// into an exactly sized block when their list closes, so a large
+/// certificate costs one small node per atom and one allocation per list.
+/// The nodes live as long as the reader.
 class Lexer {
 public:
   Lexer(const std::string &Text, std::string *Error)
@@ -468,30 +487,37 @@ public:
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
+    Out = SExpr();
     if (C == '(') {
       ++Pos;
-      Out = SExpr();
       Out.IsList = true;
+      size_t Base = Stack.size();
       for (;;) {
         skipSpace();
         if (Pos >= Text.size())
           return fail("unterminated list");
         if (Text[Pos] == ')') {
           ++Pos;
-          return true;
+          break;
         }
         SExpr Kid;
         if (!read(Kid))
           return false;
-        Out.Kids.push_back(std::move(Kid));
+        Stack.push_back(Kid);
       }
+      size_t N = Stack.size() - Base;
+      Blocks.push_back(std::make_unique<SExpr[]>(N));
+      std::copy(Stack.begin() + Base, Stack.end(), Blocks.back().get());
+      Stack.resize(Base);
+      Out.Kids = {Blocks.back().get(), N};
+      return true;
     }
     if (C == ')')
       return fail("unexpected ')'");
     if (C == '"') {
       ++Pos;
-      Out = SExpr();
       Out.IsString = true;
+      std::string &Payload = Strings.emplace_back();
       while (Pos < Text.size() && Text[Pos] != '"') {
         char D = Text[Pos++];
         if (D == '\\') {
@@ -500,34 +526,34 @@ public:
           char E = Text[Pos++];
           switch (E) {
           case '"':
-            Out.Atom += '"';
+            Payload += '"';
             break;
           case '\\':
-            Out.Atom += '\\';
+            Payload += '\\';
             break;
           case 'n':
-            Out.Atom += '\n';
+            Payload += '\n';
             break;
           case 't':
-            Out.Atom += '\t';
+            Payload += '\t';
             break;
           case 'r':
-            Out.Atom += '\r';
+            Payload += '\r';
             break;
           default:
             return fail("unknown escape");
           }
         } else {
-          Out.Atom += D;
+          Payload += D;
         }
       }
       if (Pos >= Text.size())
         return fail("unterminated string");
       ++Pos; // closing quote
+      Out.Atom = Payload;
       return true;
     }
     // Atom: everything up to whitespace or a paren.
-    Out = SExpr();
     size_t Start = Pos;
     while (Pos < Text.size()) {
       char D = Text[Pos];
@@ -538,7 +564,7 @@ public:
     }
     if (Pos == Start)
       return fail("empty atom");
-    Out.Atom = Text.substr(Start, Pos - Start);
+    Out.Atom = std::string_view(Text).substr(Start, Pos - Start);
     return true;
   }
 
@@ -546,6 +572,9 @@ private:
   const std::string &Text;
   std::string *Error;
   size_t Pos = 0;
+  std::vector<SExpr> Stack; ///< kids of the lists being read
+  std::vector<std::unique_ptr<SExpr[]>> Blocks;
+  std::deque<std::string> Strings; ///< unescaped string payloads
 };
 
 //===----------------------------------------------------------------------===//
@@ -564,17 +593,17 @@ struct Parser {
   bool parseI64(const SExpr &E, int64_t &Out) {
     if (E.IsList || E.IsString || E.Atom.empty())
       return fail("expected integer");
-    errno = 0;
-    char *End = nullptr;
-    long long V = std::strtoll(E.Atom.c_str(), &End, 10);
-    if (errno != 0 || End != E.Atom.c_str() + E.Atom.size())
-      return fail("bad integer '" + E.Atom + "'");
+    int64_t V = 0;
+    const char *End = E.Atom.data() + E.Atom.size();
+    auto [Ptr, Ec] = std::from_chars(E.Atom.data(), End, V);
+    if (Ec != std::errc() || Ptr != End)
+      return fail("bad integer '" + std::string(E.Atom) + "'");
     Out = V;
     return true;
   }
 
   bool parseU64(const SExpr &E, uint64_t &Out) {
-    int64_t V;
+    int64_t V = 0;
     if (!parseI64(E, V))
       return false;
     if (V < 0)
@@ -584,7 +613,7 @@ struct Parser {
   }
 
   bool parseU32(const SExpr &E, uint32_t &Out) {
-    uint64_t V;
+    uint64_t V = 0;
     if (!parseU64(E, V))
       return false;
     if (V > 0xFFFFFFFFULL)
@@ -638,11 +667,11 @@ struct Parser {
         Out = nullptr;
         return true;
       }
-      return fail("unknown value atom '" + E.Atom + "'");
+      return fail("unknown value atom '" + std::string(E.Atom) + "'");
     }
     if (E.Kids.empty() || E.Kids[0].IsList || E.Kids[0].IsString)
       return fail("bad value form");
-    const std::string &Head = E.Kids[0].Atom;
+    std::string_view Head = E.Kids[0].Atom;
     if (Head == "i") {
       int64_t V;
       if (E.Kids.size() != 2 || !parseI64(E.Kids[1], V))
@@ -694,19 +723,19 @@ struct Parser {
       Out = ValueFactory::map(std::move(Entries));
       return true;
     }
-    return fail("unknown value form '" + Head + "'");
+    return fail("unknown value form '" + std::string(Head) + "'");
   }
 
-  bool unaryOpByName(const std::string &Name, UnaryOp &Out) {
+  bool unaryOpByName(std::string_view Name, UnaryOp &Out) {
     for (UnaryOp Op : {UnaryOp::Neg, UnaryOp::Not})
       if (Name == unaryOpName(Op)) {
         Out = Op;
         return true;
       }
-    return fail("unknown unary op '" + Name + "'");
+    return fail("unknown unary op '" + std::string(Name) + "'");
   }
 
-  bool binaryOpByName(const std::string &Name, BinaryOp &Out) {
+  bool binaryOpByName(std::string_view Name, BinaryOp &Out) {
     for (int I = 0; I <= static_cast<int>(BinaryOp::Implies); ++I) {
       BinaryOp Op = static_cast<BinaryOp>(I);
       if (Name == binaryOpName(Op)) {
@@ -714,7 +743,7 @@ struct Parser {
         return true;
       }
     }
-    return fail("unknown binary op '" + Name + "'");
+    return fail("unknown binary op '" + std::string(Name) + "'");
   }
 
   /// Parses a term body into \p T (Args referencing already-parsed ids,
@@ -722,7 +751,7 @@ struct Parser {
   bool parseTermBody(const SExpr &E, size_t PoolSize, CTerm &T) {
     if (!E.IsList || E.Kids.empty() || E.Kids[0].IsList || E.Kids[0].IsString)
       return fail("bad term body");
-    const std::string &Head = E.Kids[0].Atom;
+    std::string_view Head = E.Kids[0].Atom;
     auto ParseArg = [&](const SExpr &K, uint32_t &Out) {
       if (!parseU32(K, Out))
         return false;
@@ -763,9 +792,10 @@ struct Parser {
     if (Head == "ap") {
       if (E.Kids.size() < 2 || E.Kids[1].IsList || E.Kids[1].IsString)
         return fail("bad builtin term");
-      std::optional<BuiltinKind> BK = builtinByName(E.Kids[1].Atom);
+      std::string Name(E.Kids[1].Atom);
+      std::optional<BuiltinKind> BK = builtinByName(Name);
       if (!BK)
-        return fail("unknown builtin '" + E.Kids[1].Atom + "'");
+        return fail("unknown builtin '" + Name + "'");
       T.K = CTerm::Kind::Builtin;
       T.BK = *BK;
       T.Args.resize(E.Kids.size() - 2);
@@ -774,7 +804,7 @@ struct Parser {
           return false;
       return true;
     }
-    return fail("unknown term form '" + Head + "'");
+    return fail("unknown term form '" + std::string(Head) + "'");
   }
 
   bool parseSpec(const SExpr &E, CertSpecUnit &S) {
@@ -1062,6 +1092,7 @@ struct Parser {
         const SExpr &Ctx = QE.Kids[K];
         if (!Ctx.isForm("ctx"))
           return fail("missing query ctx");
+        Q.Ctx.reserve(Ctx.Kids.size() - 1);
         for (size_t L = 1; L < Ctx.Kids.size(); ++L) {
           uint32_t F;
           if (!parseU32(Ctx.Kids[L], F))

@@ -261,6 +261,9 @@ struct Certificate {
 /// Canonical s-expression rendering (byte-deterministic).
 std::string print(const Certificate &C);
 
+/// Canonical rendering of one spec unit, as `print` embeds it.
+std::string printSpecUnit(const CertSpecUnit &S);
+
 /// Parses a printed certificate. Returns std::nullopt and sets \p Error on
 /// malformed input.
 std::optional<Certificate> parse(const std::string &Text, std::string *Error);

@@ -9,8 +9,8 @@
 #include "cert/AbsCheck.h"
 #include "cert/Algebra.h"
 #include "cert/Evidence.h"
-
-#include <functional>
+#include "support/trace/Metrics.h"
+#include "support/trace/Trace.h"
 
 using namespace commcsl;
 using namespace commcsl::cert;
@@ -19,16 +19,101 @@ using namespace commcsl::cert;
 // CheckSolver: the solver's decision procedure over pool ids
 //===----------------------------------------------------------------------===//
 
+void CheckSolver::set(IdMap &Map, Undo::Op K, uint32_t Key, uint32_t Val) {
+  auto [It, Inserted] = Map.try_emplace(Key, Val);
+  if (Inserted) {
+    Trail.push_back({K, false, false, Key});
+    return;
+  }
+  if (It->second == Val)
+    return;
+  Trail.push_back({K, true, false, Key, It->second});
+  It->second = Val;
+}
+
+void CheckSolver::push(ListMap &Map, Undo::Op K, uint32_t Key, uint32_t Val) {
+  auto [It, Inserted] = Map.try_emplace(Key);
+  It->second.push_back(Val);
+  Trail.push_back({K, !Inserted, false, Key});
+}
+
+std::vector<uint32_t> CheckSolver::moveList(ListMap &Map, Undo::Op K,
+                                            uint32_t From, uint32_t To) {
+  auto FIt = Map.find(From);
+  if (FIt == Map.end())
+    return {};
+  std::vector<uint32_t> Moved = std::move(FIt->second);
+  Map.erase(FIt);
+  auto [TIt, Inserted] = Map.try_emplace(To);
+  TIt->second.insert(TIt->second.end(), Moved.begin(), Moved.end());
+  Trail.push_back({K, true, !Inserted, From, 0, To,
+                   static_cast<uint32_t>(Moved.size())});
+  return Moved;
+}
+
+void CheckSolver::addSig(std::vector<uint64_t> Sig, uint32_t Id) {
+  SigTrail.push_back(Sigs.emplace(std::move(Sig), Id).first);
+}
+
+void CheckSolver::undo(const Mark &M) {
+  while (Trail.size() > M.Trail) {
+    const Undo &U = Trail.back();
+    switch (U.K) {
+    case Undo::Op::SetParent:
+    case Undo::Op::SetClassConst: {
+      IdMap &Map = U.K == Undo::Op::SetParent ? Parent : ClassConst;
+      if (U.Existed)
+        Map[U.Key] = U.Old;
+      else
+        Map.erase(U.Key);
+      break;
+    }
+    case Undo::Op::Register:
+      Registered.erase(U.Key);
+      break;
+    case Undo::Op::PushUses:
+    case Undo::Op::PushCtor: {
+      ListMap &Map = U.K == Undo::Op::PushUses ? Uses : CtorMembers;
+      auto It = Map.find(U.Key);
+      It->second.pop_back();
+      if (!U.Existed)
+        Map.erase(It);
+      break;
+    }
+    case Undo::Op::MoveUses:
+    case Undo::Op::MoveCtor: {
+      ListMap &Map = U.K == Undo::Op::MoveUses ? Uses : CtorMembers;
+      auto TIt = Map.find(U.To);
+      std::vector<uint32_t> &Dst = TIt->second;
+      std::vector<uint32_t> Back(Dst.end() - U.Count, Dst.end());
+      Dst.resize(Dst.size() - U.Count);
+      if (!U.ToExisted)
+        Map.erase(TIt);
+      Map.emplace(U.Key, std::move(Back));
+      break;
+    }
+    }
+    Trail.pop_back();
+  }
+  while (SigTrail.size() > M.SigTrail) {
+    Sigs.erase(SigTrail.back());
+    SigTrail.pop_back();
+  }
+  LeFacts.resize(M.LeFacts);
+  Disequals.resize(M.Disequals);
+  Contradiction = M.Contradiction;
+}
+
 uint32_t CheckSolver::find(uint32_t Id) {
   auto It = Parent.find(Id);
   if (It == Parent.end()) {
-    Parent[Id] = Id;
+    set(Parent, Undo::Op::SetParent, Id, Id);
     return Id;
   }
   if (It->second == Id)
     return Id;
   uint32_t Root = find(It->second);
-  Parent[Id] = Root;
+  set(Parent, Undo::Op::SetParent, Id, Root);
   return Root;
 }
 
@@ -80,17 +165,17 @@ std::vector<uint64_t> CheckSolver::signatureOf(uint32_t Id) {
 }
 
 void CheckSolver::registerTerm(uint32_t Id) {
-  if (Registered.count(Id))
+  if (!Registered.insert(Id).second)
     return;
-  Registered[Id] = true;
-  Parent[Id] = Id;
+  Trail.push_back({Undo::Op::Register, false, false, Id});
+  set(Parent, Undo::Op::SetParent, Id, Id);
   // Copy: interning below (intConst, merge) may grow the pool and
   // invalidate references into it.
   const CTerm T = Pool->at(Id);
   if (T.isConst())
-    ClassConst[Id] = Id;
+    set(ClassConst, Undo::Op::SetClassConst, Id, Id);
   if (isInjectiveCtor(T))
-    CtorMembers[Id].push_back(Id);
+    push(CtorMembers, Undo::Op::PushCtor, Id, Id);
   if (T.K == CTerm::Kind::Builtin &&
       (T.BK == BuiltinKind::Abs || T.BK == BuiltinKind::SeqLen ||
        T.BK == BuiltinKind::SetSize || T.BK == BuiltinKind::MsCard ||
@@ -98,13 +183,13 @@ void CheckSolver::registerTerm(uint32_t Id) {
     LeFacts.push_back({Pool->intConst(0), Id, 0});
   for (uint32_t A : T.Args) {
     registerTerm(A);
-    Uses[find(A)].push_back(Id);
+    push(Uses, Undo::Op::PushUses, find(A), Id);
   }
   if (!T.Args.empty()) {
     std::vector<uint64_t> Sig = signatureOf(Id);
     auto It = Sigs.find(Sig);
     if (It == Sigs.end())
-      Sigs.emplace(std::move(Sig), Id);
+      addSig(std::move(Sig), Id);
     else if (find(It->second) != find(Id))
       merge(Id, It->second);
   }
@@ -158,9 +243,13 @@ void CheckSolver::merge(uint32_t A, uint32_t B) {
     uint32_t Ry = find(Y);
     if (Rx == Ry)
       continue;
-    if (Uses[Rx].size() > Uses[Ry].size())
+    auto UsesOf = [&](uint32_t R) {
+      auto It = Uses.find(R);
+      return It == Uses.end() ? 0 : It->second.size();
+    };
+    if (UsesOf(Rx) > UsesOf(Ry))
       std::swap(Rx, Ry);
-    Parent[Rx] = Ry;
+    set(Parent, Undo::Op::SetParent, Rx, Ry);
     auto CxIt = ClassConst.find(Rx);
     auto CyIt = ClassConst.find(Ry);
     if (CxIt != ClassConst.end()) {
@@ -169,27 +258,33 @@ void CheckSolver::merge(uint32_t A, uint32_t B) {
                           Pool->at(CyIt->second).ConstVal))
           Contradiction = true;
       } else {
-        ClassConst[Ry] = CxIt->second;
+        set(ClassConst, Undo::Op::SetClassConst, Ry, CxIt->second);
       }
     }
-    auto MxIt = CtorMembers.find(Rx);
-    if (MxIt != CtorMembers.end()) {
-      auto &Dst = CtorMembers[Ry];
-      Dst.insert(Dst.end(), MxIt->second.begin(), MxIt->second.end());
-      CtorMembers.erase(Rx);
-    }
-    std::vector<uint32_t> Moved = std::move(Uses[Rx]);
-    Uses.erase(Rx);
-    for (uint32_t U : Moved) {
-      Uses[Ry].push_back(U);
+    moveList(CtorMembers, Undo::Op::MoveCtor, Rx, Ry);
+    for (uint32_t U : moveList(Uses, Undo::Op::MoveUses, Rx, Ry)) {
       std::vector<uint64_t> Sig = signatureOf(U);
       auto It = Sigs.find(Sig);
       if (It == Sigs.end())
-        Sigs.emplace(std::move(Sig), U);
+        addSig(std::move(Sig), U);
       else if (find(It->second) != find(U))
         Pending.emplace_back(U, It->second);
     }
     propagateClass(Ry, Pending);
+  }
+}
+
+void CheckSolver::assume(const CertFact &F) {
+  switch (F.K) {
+  case CertFact::Kind::Eq:
+    assumeEq(F.A, F.B);
+    break;
+  case CertFact::Kind::True:
+    assumeTrue(F.A);
+    break;
+  case CertFact::Kind::Le:
+    assumeLe(F.A, F.B, F.Bias);
+    break;
   }
 }
 
@@ -348,6 +443,19 @@ uint32_t CheckSolver::findUndecidedIteCond(uint32_t Id, unsigned FuelDepth) {
   return NoTerm;
 }
 
+bool CheckSolver::splitOn(uint32_t Cond, const std::function<bool()> &Prove) {
+  Mark M = mark();
+  assumeTrue(Cond);
+  bool Ok = Prove();
+  undo(M);
+  if (!Ok)
+    return false;
+  assumeTrue(Pool->mkNot(Cond));
+  Ok = Prove();
+  undo(M);
+  return Ok;
+}
+
 bool CheckSolver::caseSplitEq(uint32_t A, uint32_t B, unsigned Depth) {
   if (Depth == 0)
     return false;
@@ -356,13 +464,9 @@ bool CheckSolver::caseSplitEq(uint32_t A, uint32_t B, unsigned Depth) {
     Cond = findUndecidedIteCond(B, 8);
   if (Cond == NoTerm)
     return false;
-  CheckSolver Pos = *this;
-  Pos.assumeTrue(Cond);
-  if (!Pos.provesEqCore(A, B) && !Pos.caseSplitEq(A, B, Depth - 1))
-    return false;
-  CheckSolver Neg = *this;
-  Neg.assumeTrue(Pool->mkNot(Cond));
-  return Neg.provesEqCore(A, B) || Neg.caseSplitEq(A, B, Depth - 1);
+  return splitOn(Cond, [&] {
+    return provesEqCore(A, B) || caseSplitEq(A, B, Depth - 1);
+  });
 }
 
 bool CheckSolver::caseSplitTrue(uint32_t B, unsigned Depth) {
@@ -371,13 +475,9 @@ bool CheckSolver::caseSplitTrue(uint32_t B, unsigned Depth) {
   uint32_t Cond = findUndecidedIteCond(B, 8);
   if (Cond == NoTerm)
     return false;
-  CheckSolver Pos = *this;
-  Pos.assumeTrue(Cond);
-  if (!Pos.provesTrueCore(B) && !Pos.caseSplitTrue(B, Depth - 1))
-    return false;
-  CheckSolver Neg = *this;
-  Neg.assumeTrue(Pool->mkNot(Cond));
-  return Neg.provesTrueCore(B) || Neg.caseSplitTrue(B, Depth - 1);
+  return splitOn(Cond, [&] {
+    return provesTrueCore(B) || caseSplitTrue(B, Depth - 1);
+  });
 }
 
 namespace {
@@ -557,149 +657,179 @@ bool CheckSolver::provesTrueCore(uint32_t B) {
 }
 
 //===----------------------------------------------------------------------===//
+// Incremental query replay
+//===----------------------------------------------------------------------===//
+
+bool ProcReplay::decide(const CertQuery &Q) {
+  size_t Common = 0;
+  while (Common < Assumed.size() && Common < Q.Ctx.size() &&
+         Assumed[Common] == Q.Ctx[Common])
+    ++Common;
+  if (Common < Assumed.size()) {
+    S.undo(Marks[Common]);
+    Assumed.resize(Common);
+    Marks.resize(Common);
+  }
+  for (size_t I = Common; I < Q.Ctx.size(); ++I) {
+    Marks.push_back(S.mark());
+    Assumed.push_back(Q.Ctx[I]);
+    S.assume(P.Facts[Q.Ctx[I]]);
+  }
+  FactsAssumed += Q.Ctx.size() - Common;
+  ++Queries;
+  CheckSolver::Mark M = S.mark();
+  bool Got = Q.IsEq ? S.provesEq(Q.A, Q.B) : S.provesTrue(Q.A);
+  S.undo(M);
+  return Got;
+}
+
+//===----------------------------------------------------------------------===//
 // Document-level checking rules
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct Failure {
-  CheckResult &R;
-  bool fail(const std::string &Msg) {
-    if (R.Ok) {
-      R.Ok = false;
-      R.Error = Msg;
-    }
-    return false;
-  }
-};
+CheckResult fail(std::string Msg) { return {false, std::move(Msg)}; }
 
-bool checkSpecUnit(const CertSpecUnit &S, const ResourceSpecDecl &Decl,
-                   const Program &Prog, Failure &F) {
+CheckResult checkSpecUnit(const CertSpecUnit &S, const ResourceSpecDecl &Decl,
+                          const Program &Prog) {
   std::string Where = "spec '" + S.Name + "': ";
   if (S.ScopeLo != Decl.ScopeIntLo || S.ScopeHi != Decl.ScopeIntHi ||
       S.ScopeBound != Decl.ScopeCollectionBound)
-    return F.fail(Where + "recorded scope differs from the declaration");
+    return fail(Where + "recorded scope differs from the declaration");
   if (S.StatesCap < MinStatesCap || S.ArgsCap < MinArgsCap)
-    return F.fail(Where + "universe caps below the checker floor");
+    return fail(Where + "universe caps below the checker floor");
 
   FamilyMatch Fam = matchFamily(Decl);
   if (S.Fam != Fam.Fam || (S.Fam == Family::AcUpdate && S.FamilyOp != Fam.Op))
-    return F.fail(Where + "claimed algebraic family does not re-derive");
+    return fail(Where + "claimed algebraic family does not re-derive");
 
   SpecEvidence Ev = computeSpecEvidence(Decl, &Prog, S.StatesCap, S.ArgsCap,
                                         SampleDraws);
   if (Ev.NumStates != S.NumStates || Ev.NumAlphaPairs != S.NumAlphaPairs)
-    return F.fail(Where + "recomputed state universe differs");
+    return fail(Where + "recomputed state universe differs");
   if (Ev.ArgCounts != S.ArgCounts)
-    return F.fail(Where + "recomputed argument universe differs");
+    return fail(Where + "recomputed argument universe differs");
   if (Ev.SampleCount != S.SampleCount || Ev.SampleDigest != S.SampleDigest)
-    return F.fail(Where + "recomputed sample digest differs");
+    return fail(Where + "recomputed sample digest differs");
 
   if (S.Valid) {
     if (S.CE)
-      return F.fail(Where + "valid unit carries a counterexample");
+      return fail(Where + "valid unit carries a counterexample");
     if (!Ev.AllSamplesHold)
-      return F.fail(Where + "claimed valid but a recomputed sample violates "
-                            "the property");
+      return fail(Where + "claimed valid but a recomputed sample violates "
+                          "the property");
   } else {
     if (!S.CE)
-      return F.fail(Where + "invalid unit has no counterexample");
+      return fail(Where + "invalid unit has no counterexample");
     if (!ceViolates(Decl, &Prog, *S.CE))
-      return F.fail(Where + "counterexample does not re-execute as a "
-                            "violation");
+      return fail(Where + "counterexample does not re-execute as a "
+                          "violation");
     if (S.Absint && S.Absint->Unbounded)
-      return F.fail(Where + "invalid unit claims unbounded validity");
+      return fail(Where + "invalid unit claims unbounded validity");
   }
   if (S.Absint) {
     std::string AbsError;
     if (!checkAbsintSection(*S.Absint, Decl, Prog, AbsError))
-      return F.fail(Where + AbsError);
+      return fail(Where + AbsError);
   }
-  return true;
+  return {};
 }
 
-bool checkProcUnit(const CertProcUnit &P, Failure &F) {
+/// The SpecCheckMemo key: everything checkSpecUnit reads, each part
+/// length-prefixed so no two inputs concatenate to the same key.
+std::string specCheckKey(const CertSpecUnit &S, const ResourceSpecDecl &Decl,
+                         const Program &Prog) {
+  std::string Key;
+  for (const std::string &Part :
+       {printSpecUnit(S), Decl.str(), Prog.funcsStr()}) {
+    Key += std::to_string(Part.size());
+    Key += ':';
+    Key += Part;
+  }
+  return Key;
+}
+
+CheckResult replayObligations(const CertProcUnit &P, ProcReplay &Replay) {
   std::string Where = "proc '" + P.Name + "': ";
-  // The replay interns case-split negations into the pool; work on a copy
-  // so the certificate object itself stays untouched.
-  TermPool Pool = P.Pool;
   bool AllObOk = true;
   for (const CertObligation &Ob : P.Obligations) {
     bool AllProved = true;
     for (size_t QI = 0; QI < Ob.Queries.size(); ++QI) {
       const CertQuery &Q = Ob.Queries[QI];
-      CheckSolver S(Pool);
-      for (uint32_t FI : Q.Ctx) {
-        const CertFact &Fact = P.Facts[FI];
-        switch (Fact.K) {
-        case CertFact::Kind::Eq:
-          S.assumeEq(Fact.A, Fact.B);
-          break;
-        case CertFact::Kind::True:
-          S.assumeTrue(Fact.A);
-          break;
-        case CertFact::Kind::Le:
-          S.assumeLe(Fact.A, Fact.B, Fact.Bias);
-          break;
-        }
-      }
-      bool Got = Q.IsEq ? S.provesEq(Q.A, Q.B) : S.provesTrue(Q.A);
+      bool Got = Replay.decide(Q);
       if (Got != Q.Proved)
-        return F.fail(Where + "obligation '" + Ob.Label + "' query " +
-                      std::to_string(QI) + " replays as " +
-                      (Got ? "proved" : "refuted") + " but was recorded " +
-                      (Q.Proved ? "proved" : "refuted"));
+        return fail(Where + "obligation '" + Ob.Label + "' query " +
+                    std::to_string(QI) + " replays as " +
+                    (Got ? "proved" : "refuted") + " but was recorded " +
+                    (Q.Proved ? "proved" : "refuted"));
       AllProved &= Q.Proved;
     }
     if (Ob.Ok != AllProved)
-      return F.fail(Where + "obligation '" + Ob.Label +
-                    "' status contradicts its queries");
+      return fail(Where + "obligation '" + Ob.Label +
+                  "' status contradicts its queries");
     AllObOk &= Ob.Ok;
   }
   bool ExpectOk = AllObOk && !P.StructuralFail;
   if (P.Ok != ExpectOk)
-    return F.fail(Where + "proc status contradicts its obligations");
-  return true;
+    return fail(Where + "proc status contradicts its obligations");
+  return {};
+}
+
+CheckResult checkProcUnit(const CertProcUnit &P) {
+  TraceSpan Span("cert", [&] { return "proc " + P.Name; });
+  // The replay interns case-split negations into the pool; work on a copy
+  // so the certificate object itself stays untouched.
+  TermPool Pool = P.Pool;
+  ProcReplay Replay(P, Pool);
+  CheckResult R = replayObligations(P, Replay);
+  MetricsRegistry &M = MetricsRegistry::global();
+  M.counter("cert.check.queries").add(Replay.queries());
+  M.counter("cert.check.facts_assumed").add(Replay.factsAssumed());
+  return R;
 }
 
 } // namespace
 
-CheckResult cert::checkCertificate(const Certificate &C, const Program &Prog) {
-  CheckResult R;
-  Failure F{R};
-  uint64_t Digest = fnv64(Prog.str());
-  if (C.ProgramDigest != Digest) {
-    F.fail("program digest mismatch (certificate was issued for a different "
-           "program)");
-    return R;
-  }
-  if (C.Specs.size() != Prog.Specs.size()) {
-    F.fail("certificate covers " + std::to_string(C.Specs.size()) +
-           " specs, program declares " + std::to_string(Prog.Specs.size()));
-    return R;
-  }
-  for (size_t I = 0; I < C.Specs.size(); ++I) {
-    if (C.Specs[I].Name != Prog.Specs[I].Name) {
-      F.fail("spec unit " + std::to_string(I) + " names '" + C.Specs[I].Name +
-             "', program declares '" + Prog.Specs[I].Name + "'");
-      return R;
+CheckResult cert::checkCertificate(const Certificate &C, const Program &Prog,
+                                   SpecCheckMemo *Memo) {
+  if (C.ProgramDigest != fnv64(Prog.str()))
+    return fail("program digest mismatch (certificate was issued for a "
+                "different program)");
+  if (C.Specs.size() != Prog.Specs.size())
+    return fail("certificate covers " + std::to_string(C.Specs.size()) +
+                " specs, program declares " +
+                std::to_string(Prog.Specs.size()));
+  {
+    TraceSpan Span("cert", "spec units");
+    for (size_t I = 0; I < C.Specs.size(); ++I) {
+      const CertSpecUnit &S = C.Specs[I];
+      const ResourceSpecDecl &Decl = Prog.Specs[I];
+      if (S.Name != Decl.Name)
+        return fail("spec unit " + std::to_string(I) + " names '" + S.Name +
+                    "', program declares '" + Decl.Name + "'");
+      auto Check = [&] { return checkSpecUnit(S, Decl, Prog); };
+      CheckResult R = Memo ? *Memo->getOrCompute(specCheckKey(S, Decl, Prog),
+                                                 Check)
+                           : Check();
+      if (!R.Ok)
+        return R;
     }
-    if (!checkSpecUnit(C.Specs[I], Prog.Specs[I], Prog, F))
-      return R;
   }
-  if (C.Procs.size() != Prog.Procs.size()) {
-    F.fail("certificate covers " + std::to_string(C.Procs.size()) +
-           " procs, program declares " + std::to_string(Prog.Procs.size()));
-    return R;
-  }
-  for (size_t I = 0; I < C.Procs.size(); ++I) {
-    if (C.Procs[I].Name != Prog.Procs[I].Name) {
-      F.fail("proc unit " + std::to_string(I) + " names '" + C.Procs[I].Name +
-             "', program declares '" + Prog.Procs[I].Name + "'");
-      return R;
+  if (C.Procs.size() != Prog.Procs.size())
+    return fail("certificate covers " + std::to_string(C.Procs.size()) +
+                " procs, program declares " +
+                std::to_string(Prog.Procs.size()));
+  {
+    TraceSpan Span("cert", "proc units");
+    for (size_t I = 0; I < C.Procs.size(); ++I) {
+      if (C.Procs[I].Name != Prog.Procs[I].Name)
+        return fail("proc unit " + std::to_string(I) + " names '" +
+                    C.Procs[I].Name + "', program declares '" +
+                    Prog.Procs[I].Name + "'");
+      if (CheckResult R = checkProcUnit(C.Procs[I]); !R.Ok)
+        return R;
     }
-    if (!checkProcUnit(C.Procs[I], F))
-      return R;
   }
   bool AllSpecs = true, AllProcs = true;
   for (const CertSpecUnit &S : C.Specs)
@@ -708,7 +838,8 @@ CheckResult cert::checkCertificate(const Certificate &C, const Program &Prog) {
     AllProcs &= P.Ok;
   bool Expect = AllSpecs && AllProcs;
   if (C.Verified != Expect)
-    F.fail(std::string("verdict '") + (C.Verified ? "verified" : "rejected") +
-           "' contradicts the units");
-  return R;
+    return fail(std::string("verdict '") +
+                (C.Verified ? "verified" : "rejected") +
+                "' contradicts the units");
+  return {};
 }

@@ -194,7 +194,8 @@ SchedDiffOutcome runSchedulerDifferential(const Program &Prog,
 
 DifferentialOracle::DifferentialOracle(OracleConfig Config)
     : Config(std::move(Config)),
-      Verdicts(std::make_shared<SpecVerdictMemo>()) {}
+      Verdicts(std::make_shared<SpecVerdictMemo>()),
+      CertChecks(std::make_shared<cert::SpecCheckMemo>()) {}
 
 OracleResult DifferentialOracle::evaluate(const std::string &Source,
                                           bool GenTainted,
@@ -268,7 +269,8 @@ OracleResult DifferentialOracle::evaluate(const std::string &Source,
         V.CertOk = false;
         V.CertError = "certificate does not parse: " + PErr;
       } else {
-        cert::CheckResult CR = cert::checkCertificate(*C, *DR.Prog);
+        cert::CheckResult CR =
+            cert::checkCertificate(*C, *DR.Prog, CertChecks.get());
         V.CertOk = CR.Ok;
         V.CertError = CR.Error;
       }

@@ -48,6 +48,9 @@
 namespace commcsl {
 
 class SpecVerdictMemo;
+namespace cert {
+class SpecCheckMemo;
+}
 
 /// Classification of the four-verdict cross-check.
 enum class OracleClass : uint8_t {
@@ -170,9 +173,11 @@ struct OracleResult {
 ///
 /// Each oracle owns one validity-verdict memo (verifier/SpecVerdictMemo.h)
 /// that every driver it builds shares, the forged accept-all run included,
-/// so a resource spec recurring across evaluations is proved once. The
-/// memo replays verdicts exactly, so results do not depend on what was
-/// evaluated before. `evaluate` may run concurrently on one oracle.
+/// so a resource spec recurring across evaluations is proved once, and one
+/// spec-unit check memo (cert/Check.h), so a certificate spec unit
+/// recurring across evaluations is checked once. Both memos replay results
+/// exactly, so results do not depend on what was evaluated before.
+/// `evaluate` may run concurrently on one oracle.
 class DifferentialOracle {
 public:
   explicit DifferentialOracle(OracleConfig Config = OracleConfig());
@@ -188,6 +193,7 @@ public:
 private:
   OracleConfig Config;
   std::shared_ptr<SpecVerdictMemo> Verdicts;
+  std::shared_ptr<cert::SpecCheckMemo> CertChecks;
 };
 
 } // namespace commcsl

@@ -27,14 +27,9 @@
 
 #include "cert/Cert.h"
 #include "rspec/Validity.h"
+#include "support/ComputeOnceMemo.h"
 
-#include <condition_variable>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_map>
 
 namespace commcsl {
 
@@ -49,23 +44,15 @@ struct SpecVerdict {
   std::optional<cert::CertSpecUnit> Unit;
 };
 
-/// Thread-safe map from verdict key to verdict. Concurrent misses on one
-/// key wait for a single computation, so the number of computations (and
-/// every counter they bump) does not depend on thread interleaving.
-class SpecVerdictMemo {
+/// Thread-safe map from verdict key to verdict (support/ComputeOnceMemo.h).
+/// Lookups bump the stable `validity.verdict_memo.hits` / `.computed`
+/// metrics counters; a timed-out verdict is never stored.
+class SpecVerdictMemo : public ComputeOnceMemo<SpecVerdict> {
 public:
-  /// Returns the verdict stored under \p Key, or runs \p Compute, stores
-  /// its result unless it timed out, and returns it. Bumps the stable
-  /// `validity.verdict_memo.hits` / `.computed` metrics counters.
-  std::shared_ptr<const SpecVerdict>
-  getOrCompute(const std::string &Key,
-               const std::function<SpecVerdict()> &Compute);
-
-private:
-  std::mutex Mu;
-  std::condition_variable Done;
-  /// A null verdict marks a key whose computation is in flight.
-  std::unordered_map<std::string, std::shared_ptr<const SpecVerdict>> Verdicts;
+  SpecVerdictMemo()
+      : ComputeOnceMemo("validity.verdict_memo.hits",
+                        "validity.verdict_memo.computed",
+                        [](const SpecVerdict &V) { return !V.TimedOut; }) {}
 };
 
 } // namespace commcsl

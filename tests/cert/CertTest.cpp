@@ -217,6 +217,23 @@ TEST(CertParseTest, MalformedInputsAreErrorsNotCrashes) {
                      &Err));
 }
 
+TEST(CertParseTest, IntegersMustBeWholeInRangeDecimals) {
+  std::string Text = print(sampleCert());
+  size_t At = Text.find("(caps ");
+  ASSERT_NE(At, std::string::npos);
+  At += 6;
+  size_t Len = Text.find(' ', At) - At;
+  for (const char *Bad : {"12x", "99999999999999999999", "-", "0x10"}) {
+    std::string Err;
+    std::string Forged = Text;
+    Forged.replace(At, Len, Bad);
+    EXPECT_FALSE(parse(Forged, &Err)) << Bad;
+    EXPECT_NE(Err.find(std::string("bad integer '") + Bad + "'"),
+              std::string::npos)
+        << Err;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // CheckSolver
 //===----------------------------------------------------------------------===//
