@@ -267,16 +267,13 @@ BENCHMARK(BM_AbsintConclusive_Queue)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Interning / memoization ablation: the scope-3 bounded workload with
-/// value interning and alpha/f_a memoization independently toggled.
-/// Verdicts and check counts are identical across all four variants; only
-/// the evaluation cost changes. Arg encoding: bit 0 = interning on,
-/// bit 1 = memoization on.
-void BM_InternMemoAblation_MapKeySet(benchmark::State &State) {
-  bool Intern = State.range(0) & 1;
-  bool Memo = State.range(0) & 2;
+/// Interning ablation: the scope-3 bounded workload with value interning
+/// toggled (the checker's alpha/f_a memo is always on). Verdicts and check
+/// counts are identical in both variants; only the evaluation cost
+/// changes. Arg: 1 = interning on.
+void BM_InternAblation_MapKeySet(benchmark::State &State) {
   bool WasEnabled = ValueInterner::enabled();
-  ValueInterner::setEnabled(Intern);
+  ValueInterner::setEnabled(State.range(0) != 0);
   {
     std::string Source = std::string(R"(
       resource MapKS {
@@ -298,7 +295,6 @@ void BM_InternMemoAblation_MapKeySet(benchmark::State &State) {
     Cfg.RunAbsintTier = false;
     Cfg.RunRandomTier = false;
     Cfg.Jobs = 1;
-    Cfg.Memoize = Memo;
     uint64_t Checks = 0;
     double HitRate = 0;
     for (auto _ : State) {
@@ -320,11 +316,9 @@ void BM_InternMemoAblation_MapKeySet(benchmark::State &State) {
   }
   ValueInterner::setEnabled(WasEnabled);
 }
-BENCHMARK(BM_InternMemoAblation_MapKeySet)
-    ->Arg(0) // baseline: no interning, no memo
-    ->Arg(1) // interning only
-    ->Arg(2) // memo only (structural-compare keys)
-    ->Arg(3) // interning + memo
+BENCHMARK(BM_InternAblation_MapKeySet)
+    ->Arg(0) // structural-compare memo keys
+    ->Arg(1) // interned (pointer-compare) memo keys
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

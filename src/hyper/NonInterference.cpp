@@ -83,10 +83,7 @@ NIReport NonInterferenceHarness::run() {
   }
   TraceSpan SweepSpan("ni", [&] { return "sweep " + Proc->Name; });
   Stopwatch T0;
-  SpecCaches = !Config.MemoizeSpecEval ? nullptr
-               : Config.SharedSpecCaches
-                   ? Config.SharedSpecCaches
-                   : std::make_shared<SpecCacheRegistry>();
+  SpecCaches = std::make_shared<SpecCacheRegistry>();
 
   std::vector<DomainRef> ParamDoms;
   for (const Param &P : Proc->Params)
@@ -196,21 +193,15 @@ NIReport NonInterferenceHarness::run() {
       break;
     }
   }
-  if (SpecCaches)
-    Report.Cache = SpecCaches->totals();
 
   // Runs/pairs (and whether a violation was found) replicate the
-  // sequential sweep at any job count; wall/CPU time and the memo split do
-  // not.
+  // sequential sweep at any job count; wall/CPU time does not.
   MetricsRegistry &M = MetricsRegistry::global();
   M.counter("ni.runs").add(Report.Runs);
   M.counter("ni.pairs_compared").add(Report.PairsCompared);
   M.counter("ni.violations").add(Report.Violation ? 1 : 0);
   M.gauge("ni.wall_seconds").add(Report.WallSeconds);
   M.gauge("ni.cpu_seconds").add(Report.CpuSeconds);
-  M.counter("cache.ni.hits", Stability::Varies).add(Report.Cache.hits());
-  M.counter("cache.ni.misses", Stability::Varies)
-      .add(Report.Cache.misses());
   return Report;
 }
 

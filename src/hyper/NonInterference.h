@@ -63,19 +63,6 @@ struct NIConfig {
   /// splitmix64(Seed, TrialIndex), so the report (counts, violation) is
   /// identical at every job count.
   unsigned Jobs = 0;
-  /// Memoize resource-spec evaluation (`alpha`, `f_a`) across all runs of
-  /// the sweep in one shared per-spec cache registry. Evaluation is pure,
-  /// so the report (counts, violation) is bit-identical with memoization on
-  /// or off; only speed and the diagnostic cache counters change.
-  bool MemoizeSpecEval = true;
-  /// Optional externally owned registry. When set (and MemoizeSpecEval is
-  /// on) the sweep evaluates through it instead of building a private
-  /// per-run registry, so memo entries survive across sweeps — the serve
-  /// daemon's warm path. The report's Cache counters then cover the
-  /// registry's whole lifetime, not just this sweep. Must not outlive the
-  /// Program owning the spec declarations.
-  std::shared_ptr<SpecCacheRegistry> SharedSpecCaches;
-
   /// Optional custom trial generator: returns a batch of low-equivalent
   /// input assignments (the harness compares low outputs across the whole
   /// batch). Use when the procedure's precondition relates inputs in ways
@@ -111,10 +98,6 @@ struct NIReport {
   /// Aggregate worker time (>= WallSeconds when parallel); the ratio
   /// CpuSeconds / WallSeconds approximates the realized speedup.
   double CpuSeconds = 0;
-  /// Spec-evaluation memo counters summed over every spec the sweep
-  /// touched (zeros when MemoizeSpecEval is off). Diagnostic only: the
-  /// hit/miss split may vary with thread interleaving.
-  CacheStats Cache;
 
   bool secure() const { return !Violation.has_value(); }
 };
@@ -161,7 +144,8 @@ private:
   std::vector<size_t> LowReturns;
   std::vector<LevelSlot> LevelParams;
   std::vector<LevelSlot> LevelReturns;
-  /// Shared across every trial of a sweep (set up per `run()` call).
+  /// The sweep's alpha/f_a memo, shared across every trial of one `run()`
+  /// call and replaced by a fresh one on the next.
   std::shared_ptr<SpecCacheRegistry> SpecCaches;
 };
 

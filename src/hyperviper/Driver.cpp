@@ -44,13 +44,6 @@ void flushDriverMetrics(const DriverResult &R) {
   M.gauge("driver.analysis_seconds").add(R.AnalysisSeconds);
   M.gauge("driver.validity_cpu_seconds").add(R.ValidityCpuSeconds);
   M.gauge("driver.verify_cpu_seconds").add(R.VerifyCpuSeconds);
-  // Hit/miss splits vary with worker interleaving (two workers may race
-  // to compute the same key), so the cache counters are Varies too.
-  const CacheStats &C = R.Verification.SpecCache;
-  M.counter("cache.spec.hits", Stability::Varies).add(C.hits());
-  M.counter("cache.spec.misses", Stability::Varies).add(C.misses());
-  M.counter("cache.spec.evictions", Stability::Varies).add(C.Evictions);
-  M.gauge("cache.spec.entries").max(static_cast<double>(C.Entries));
 }
 
 } // namespace
@@ -172,7 +165,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
       bool Ok = true;
       DiagnosticEngine Diags;
       double Seconds = 0;
-      CacheStats Cache;
       std::optional<cert::CertSpecUnit> Unit;
     };
     std::vector<SpecOutcome> Outcomes(R.Prog->Specs.size());
@@ -187,7 +179,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
             Verifier SpecV(*R.Prog, Outcomes[I].Diags, VC);
             Outcomes[I].Ok = SpecV.verifySpec(R.Prog->Specs[I]);
             Outcomes[I].Seconds = S0.seconds();
-            Outcomes[I].Cache = SpecV.specCacheStats();
             if (EmitCert) {
               auto UIt = SpecV.specUnits().find(R.Prog->Specs[I].Name);
               if (UIt != SpecV.specUnits().end())
@@ -200,7 +191,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
       SpecsOk &= Out.Ok;
       R.Diags.append(Out.Diags);
       R.ValidityCpuSeconds += Out.Seconds;
-      R.Verification.SpecCache += Out.Cache;
       if (Out.Unit)
         R.Verification.SpecUnits.push_back(std::move(*Out.Unit));
     }
@@ -300,8 +290,6 @@ NIReport Driver::runEmpirical(const DriverResult &Result,
   assert(Result.Prog && Result.ParseOk && "empirical run needs a program");
   if (Config.Jobs == 0)
     Config.Jobs = Options.Jobs;
-  if (!Config.SharedSpecCaches)
-    Config.SharedSpecCaches = Options.Verifier.SpecCaches;
   NonInterferenceHarness Harness(*Result.Prog, ProcName, Config);
   return Harness.run();
 }

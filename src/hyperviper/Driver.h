@@ -38,9 +38,7 @@ SourceMetrics measureSource(const std::string &Source);
 
 /// A parsed and type-checked source buffer, reusable across verification
 /// runs. The serve daemon's program cache stores these so a resubmitted
-/// source skips the parse phase and — because the same `Program` object
-/// (hence the same spec-declaration addresses) is reused — its per-spec
-/// memo caches stay warm across requests.
+/// source skips the parse phase.
 struct ParsedUnit {
   std::string Name;
   bool Ok = false; ///< no parse or type errors

@@ -10,9 +10,25 @@
 
 using namespace commcsl;
 
+namespace {
+
+/// Thrown by NestingGuard once the limit error is reported; parseProgram
+/// catches it and drops the rest of the buffer.
+struct NestingLimitHit {};
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // Helpers
 //===----------------------------------------------------------------------===//
+
+Parser::NestingGuard::NestingGuard(Parser &P) : P(P) {
+  if (++P.Depth <= MaxNesting)
+    return;
+  P.error("nesting exceeds the limit of " + std::to_string(MaxNesting) +
+          " levels");
+  throw NestingLimitHit{};
+}
 
 void Parser::error(const std::string &Msg) {
   Diags.error(DiagCode::ParseError, peek().Loc, Msg);
@@ -57,17 +73,23 @@ Program Parser::parse(const std::string &Source, DiagnosticEngine &Diags) {
 
 Program Parser::parseProgram() {
   Program Prog;
-  while (!check(TokenKind::Eof)) {
-    if (check(TokenKind::KwFunction)) {
-      parseFunction(Prog);
-    } else if (check(TokenKind::KwResourceTy)) {
-      parseResource(Prog);
-    } else if (check(TokenKind::KwProcedure)) {
-      parseProcedure(Prog);
-    } else {
-      error("expected 'function', 'resource', or 'procedure' at top level");
-      syncToDecl();
+  try {
+    while (!check(TokenKind::Eof)) {
+      if (check(TokenKind::KwFunction)) {
+        parseFunction(Prog);
+      } else if (check(TokenKind::KwResourceTy)) {
+        parseResource(Prog);
+      } else if (check(TokenKind::KwProcedure)) {
+        parseProcedure(Prog);
+      } else {
+        error("expected 'function', 'resource', or 'procedure' at top level");
+        syncToDecl();
+      }
     }
+  } catch (const NestingLimitHit &) {
+    // Reported where the limit was crossed; the rest of the buffer is
+    // dropped so the open levels do not each report a missing closer.
+    Depth = 0;
   }
   return Prog;
 }
@@ -312,6 +334,7 @@ bool Parser::parseParamList(std::vector<Param> &Out) {
 }
 
 TypeRef Parser::parseType() {
+  NestingGuard Level(*this);
   SourceLoc Loc = peek().Loc;
   (void)Loc;
   if (accept(TokenKind::KwInt))
@@ -544,6 +567,7 @@ CommandRef Parser::parseBlock() {
 }
 
 CommandRef Parser::parseStatement() {
+  NestingGuard Level(*this);
   SourceLoc Loc = peek().Loc;
   switch (peek().Kind) {
   case TokenKind::KwSkip: {
@@ -719,6 +743,9 @@ CommandRef Parser::parseStatement() {
     return parseAssignLike();
   default:
     error("expected a statement");
+    // The sync stops before a '{' without consuming it; skip it here, or
+    // the enclosing block would offer the same token again forever.
+    accept(TokenKind::LBrace);
     syncToStatement();
     return nullptr;
   }
@@ -862,7 +889,10 @@ std::vector<ExprRef> Parser::parseArgs() {
   return Args;
 }
 
-ExprRef Parser::parseExpr() { return parseImplies(); }
+ExprRef Parser::parseExpr() {
+  NestingGuard Level(*this);
+  return parseImplies();
+}
 
 ExprRef Parser::parseImplies() {
   ExprRef L = parseOr(/*AllowAnd=*/true);
@@ -870,7 +900,7 @@ ExprRef Parser::parseImplies() {
     return nullptr;
   if (accept(TokenKind::Arrow)) {
     SourceLoc Loc = peek().Loc;
-    ExprRef R = parseImplies();
+    ExprRef R = parseExpr();
     if (!R)
       return nullptr;
     return Expr::binary(BinaryOp::Implies, std::move(L), std::move(R), Loc);
@@ -970,6 +1000,7 @@ ExprRef Parser::parseMultiplicative() {
 
 ExprRef Parser::parseUnary() {
   if (check(TokenKind::Minus)) {
+    NestingGuard Level(*this);
     SourceLoc Loc = advance().Loc;
     ExprRef A = parseUnary();
     if (!A)
@@ -980,6 +1011,7 @@ ExprRef Parser::parseUnary() {
     return Expr::unary(UnaryOp::Neg, std::move(A), Loc);
   }
   if (check(TokenKind::Bang)) {
+    NestingGuard Level(*this);
     SourceLoc Loc = advance().Loc;
     ExprRef A = parseUnary();
     if (!A)

@@ -27,6 +27,17 @@ namespace commcsl {
 /// boundaries so multiple errors can be reported in one run.
 class Parser {
 public:
+  /// The deepest nesting the parser accepts. Each statement, each
+  /// expression (a parenthesised sub-expression, a call argument, a
+  /// contract atom, the right operand of `==>`), each prefix `-`/`!` and
+  /// each type, type arguments included, opens one level. Deeper input
+  /// gets one parse error at the token that crosses the limit and the rest
+  /// of the buffer is not parsed, so nesting cannot exhaust the stack of
+  /// the recursive parser or of the recursive passes after it: at this
+  /// limit every verb passes on an 8 MB thread stack under the UBSan build.
+  /// A chain of binary operators is not nesting and is not bounded here.
+  static constexpr unsigned MaxNesting = 1000;
+
   Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
       : Tokens(std::move(Tokens)), Diags(Diags) {}
 
@@ -60,6 +71,17 @@ private:
   void error(const std::string &Msg);
   void syncToStatement();
   void syncToDecl();
+
+  /// Holds one nesting level (see MaxNesting) for its lifetime. Crossing
+  /// the limit reports the error and unwinds to parseProgram.
+  class NestingGuard {
+  public:
+    explicit NestingGuard(Parser &P);
+    ~NestingGuard() { --P.Depth; }
+
+  private:
+    Parser &P;
+  };
 
   // Declarations -----------------------------------------------------------
   void parseFunction(Program &Prog);
@@ -95,6 +117,7 @@ private:
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Index = 0;
+  unsigned Depth = 0; ///< nesting levels currently open
 };
 
 } // namespace commcsl

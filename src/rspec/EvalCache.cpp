@@ -13,22 +13,17 @@ using namespace commcsl;
 namespace {
 
 /// Evicts every other entry in bucket-iteration order, so a full shard
-/// sheds half its load instead of dropping everything at once (a clear()
-/// forces every cached key to recompute simultaneously — a thundering
-/// herd right when the cache is hottest). Returns the number evicted.
-template <typename MapT> uint64_t evictHalf(MapT &Map) {
-  uint64_t Evicted = 0;
+/// sheds half its load instead of dropping everything at once (which would
+/// force every cached key to recompute right when the cache is hottest).
+template <typename MapT> void evictHalf(MapT &Map) {
   bool Drop = true;
   for (auto It = Map.begin(); It != Map.end();) {
-    if (Drop) {
+    if (Drop)
       It = Map.erase(It);
-      ++Evicted;
-    } else {
+    else
       ++It;
-    }
     Drop = !Drop;
   }
-  return Evicted;
 }
 
 } // namespace
@@ -55,7 +50,7 @@ void SpecEvalCache::insertAlpha(const ValueRef &State,
   AlphaShard &S = AlphaShards[State->hash() % NumShards];
   std::lock_guard<std::mutex> Lock(S.Mu);
   if (S.Map.size() >= ShardCap)
-    S.Evictions += evictHalf(S.Map);
+    evictHalf(S.Map);
   S.Map.emplace(State, Result); // a racing insert of the same key is a no-op
 }
 
@@ -81,38 +76,21 @@ void SpecEvalCache::insertAction(const ActionDecl &Action,
   ActionShard &S = ActionShards[ActionKeyHash()(K) % NumShards];
   std::lock_guard<std::mutex> Lock(S.Mu);
   if (S.Map.size() >= ShardCap)
-    S.Evictions += evictHalf(S.Map);
+    evictHalf(S.Map);
   S.Map.emplace(std::move(K), Result);
-}
-
-void SpecEvalCache::clear() {
-  for (AlphaShard &S : AlphaShards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Map.clear();
-    S.Hits = S.Misses = S.Evictions = 0;
-  }
-  for (ActionShard &S : ActionShards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Map.clear();
-    S.Hits = S.Misses = S.Evictions = 0;
-  }
 }
 
 CacheStats SpecEvalCache::stats() const {
   CacheStats Total;
   for (const AlphaShard &S : AlphaShards) {
     std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.AlphaHits += S.Hits;
-    Total.AlphaMisses += S.Misses;
-    Total.Entries += S.Map.size();
-    Total.Evictions += S.Evictions;
+    Total.Hits += S.Hits;
+    Total.Misses += S.Misses;
   }
   for (const ActionShard &S : ActionShards) {
     std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.ActionHits += S.Hits;
-    Total.ActionMisses += S.Misses;
-    Total.Entries += S.Map.size();
-    Total.Evictions += S.Evictions;
+    Total.Hits += S.Hits;
+    Total.Misses += S.Misses;
   }
   return Total;
 }
@@ -122,34 +100,6 @@ SpecCacheRegistry::cacheFor(const ResourceSpecDecl *Spec) {
   std::lock_guard<std::mutex> Lock(Mu);
   std::shared_ptr<SpecEvalCache> &C = Caches[Spec];
   if (!C)
-    C = std::make_shared<SpecEvalCache>(MaxEntries);
+    C = std::make_shared<SpecEvalCache>();
   return C;
-}
-
-size_t SpecCacheRegistry::size() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Caches.size();
-}
-
-void SpecCacheRegistry::clearAll() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (const auto &[Spec, Cache] : Caches) {
-    (void)Spec;
-    Cache->clear();
-  }
-}
-
-CacheStats SpecCacheRegistry::totals() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  CacheStats Total;
-  for (const auto &[Spec, Cache] : Caches) {
-    (void)Spec;
-    CacheStats S = Cache->stats();
-    // Entries is a gauge per cache; summing across distinct caches is the
-    // correct aggregate, so bypass the max-merge of operator+=.
-    uint64_t E = Total.Entries + S.Entries;
-    Total += S;
-    Total.Entries = E;
-  }
-  return Total;
 }

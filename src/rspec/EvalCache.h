@@ -10,7 +10,10 @@
 /// and the empirical NI harness evaluate these millions of times over a
 /// small universe of values, so both calls are cached per specification in
 /// sharded hash tables keyed by the (interned, hence pointer-comparable)
-/// argument values.
+/// argument values. A memo lives exactly as long as one
+/// `ValidityChecker` or one NI sweep: it is never shared across checks,
+/// sweeps or serve requests (whole verdicts are, by the content-keyed
+/// verifier/SpecVerdictMemo.h).
 ///
 /// Evaluation is pure and deterministic, so memoization cannot change any
 /// verdict, counterexample, or report — only the hit/miss counters (which
@@ -18,9 +21,9 @@
 /// race to compute the same key).
 ///
 /// Each shard is capacity-bounded: on overflow half of the shard's entries
-/// are evicted (an every-other sweep in bucket order), so long-running
-/// processes cannot grow the cache without bound yet a full shard keeps
-/// half its working set instead of recomputing everything at once.
+/// are evicted (an every-other sweep in bucket order), so a large check
+/// cannot grow the cache without bound yet a full shard keeps half its
+/// working set instead of recomputing everything at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,48 +43,13 @@
 
 namespace commcsl {
 
-/// Counters surfaced in `ValidityResult`, `NIReport`, and the driver's
-/// metrics output. Hits/Misses/Evictions are monotone counters; Entries is
-/// a gauge (current number of cached results).
+/// Lookup counters of one memo, surfaced in `ValidityResult::Cache`.
 struct CacheStats {
-  uint64_t AlphaHits = 0;
-  uint64_t AlphaMisses = 0;
-  uint64_t ActionHits = 0;
-  uint64_t ActionMisses = 0;
-  uint64_t Entries = 0;
-  uint64_t Evictions = 0;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 
-  uint64_t hits() const { return AlphaHits + ActionHits; }
-  uint64_t misses() const { return AlphaMisses + ActionMisses; }
-
-  /// Counter-wise sum; Entries takes the maximum (a gauge cannot be
-  /// meaningfully added across snapshots of the same cache).
-  CacheStats &operator+=(const CacheStats &O) {
-    AlphaHits += O.AlphaHits;
-    AlphaMisses += O.AlphaMisses;
-    ActionHits += O.ActionHits;
-    ActionMisses += O.ActionMisses;
-    Entries = Entries > O.Entries ? Entries : O.Entries;
-    Evictions += O.Evictions;
-    return *this;
-  }
-
-  /// Counter-wise delta against an earlier snapshot; Entries keeps the
-  /// later (this) gauge value. Deltas clamp at zero: a cache cleared or
-  /// reset between the two snapshots (a long-lived server evicting a cold
-  /// program, `SpecEvalCache::clear`) makes the later counters smaller
-  /// than the earlier ones, and an unclamped subtraction would wrap to a
-  /// huge uint64 in per-request delta reports.
-  CacheStats operator-(const CacheStats &O) const {
-    auto Sub = [](uint64_t A, uint64_t B) { return A >= B ? A - B : 0; };
-    CacheStats R = *this;
-    R.AlphaHits = Sub(AlphaHits, O.AlphaHits);
-    R.AlphaMisses = Sub(AlphaMisses, O.AlphaMisses);
-    R.ActionHits = Sub(ActionHits, O.ActionHits);
-    R.ActionMisses = Sub(ActionMisses, O.ActionMisses);
-    R.Evictions = Sub(Evictions, O.Evictions);
-    return R;
-  }
+  uint64_t hits() const { return Hits; }
+  uint64_t misses() const { return Misses; }
 };
 
 /// Per-specification concurrent memo for `alpha` and action applications.
@@ -117,14 +85,8 @@ public:
 
   CacheStats stats() const;
 
-  /// Drops every cached entry and zeroes the per-shard counters — a full
-  /// reset, as when a long-lived server recycles a spec family's cache.
-  /// Snapshots taken across a clear() must go through the clamped
-  /// CacheStats::operator- (deltas would otherwise wrap).
-  void clear();
-
-  /// Per-shard entry bound (exposed so tests can assert the capacity
-  /// invariant: `stats().Entries <= 2 * numShards() * shardCap()`).
+  /// Per-shard entry bound of each of the two tables (exposed so tests can
+  /// assert the capacity invariant).
   size_t shardCap() const { return ShardCap; }
   static constexpr size_t numShards() { return NumShards; }
 
@@ -139,7 +101,6 @@ private:
     std::unordered_map<ValueRef, ValueRef, ValueRefHash, ValueRefEq> Map;
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-    uint64_t Evictions = 0;
   };
 
   struct ActionKey {
@@ -166,7 +127,6 @@ private:
     std::unordered_map<ActionKey, ValueRef, ActionKeyHash, ActionKeyEq> Map;
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-    uint64_t Evictions = 0;
   };
 
   ValueRef lookupAlpha(const ValueRef &State);
@@ -181,32 +141,17 @@ private:
   std::array<ActionShard, NumShards> ActionShards;
 };
 
-/// Maps resource-spec declarations to their shared evaluation caches, so
-/// transient `RSpecRuntime` instances (e.g. one per interpreted `perform`)
-/// reuse one cache per spec. The registry must not outlive the program
-/// owning the spec declarations it has seen.
+/// Maps resource-spec declarations to their evaluation caches, so the
+/// transient `RSpecRuntime` instances of one NI sweep (one per interpreted
+/// `perform`) share one cache per spec. The registry must not outlive the
+/// program owning the spec declarations it has seen.
 class SpecCacheRegistry {
 public:
-  explicit SpecCacheRegistry(
-      size_t MaxEntriesPerSpec = SpecEvalCache::DefaultMaxEntries)
-      : MaxEntries(MaxEntriesPerSpec) {}
-
   /// The cache for \p Spec, created on first use. Thread-safe.
   std::shared_ptr<SpecEvalCache> cacheFor(const ResourceSpecDecl *Spec);
 
-  /// Summed stats over every cache created so far.
-  CacheStats totals() const;
-
-  /// Number of distinct specs with a cache.
-  size_t size() const;
-
-  /// Clears every cache in the registry (the caches themselves stay
-  /// attached to any runtimes that hold them).
-  void clearAll();
-
 private:
-  size_t MaxEntries;
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::map<const ResourceSpecDecl *, std::shared_ptr<SpecEvalCache>> Caches;
 };
 

@@ -45,10 +45,6 @@ public:
   /// may be null when the spec was built without one.
   const Program *program() const { return Prog; }
 
-  /// Attaches (or detaches, with null) a memoization cache.
-  void attachCache(std::shared_ptr<SpecEvalCache> C) { Cache = std::move(C); }
-  const std::shared_ptr<SpecEvalCache> &cache() const { return Cache; }
-
   /// Stats of the attached cache (zeros when none is attached).
   CacheStats cacheStats() const {
     return Cache ? Cache->stats() : CacheStats{};

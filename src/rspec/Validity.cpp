@@ -90,9 +90,9 @@ commcsl::relevantActionPairs(const ResourceSpecDecl &Spec) {
 
 ValidityChecker::ValidityChecker(const RSpecRuntime &Runtime,
                                  ValidityConfig Config)
-    : Runtime(Runtime), Config(Config) {
-  if (Config.Memoize && !this->Runtime.cache())
-    this->Runtime.attachCache(std::make_shared<SpecEvalCache>());
+    : Runtime(Runtime.decl(), Runtime.program(),
+              std::make_shared<SpecEvalCache>()),
+      Config(Config) {
   const ResourceSpecDecl &Decl = Runtime.decl();
   Scope.IntLo = Decl.ScopeIntLo;
   Scope.IntHi = Decl.ScopeIntHi;
@@ -392,12 +392,11 @@ ValidityResult ValidityChecker::checkPreconditions() {
   ValidityResult R;
   TraceSpan PropSpan("validity", "preconditions");
   Stopwatch T0;
-  CacheStats Cache0 = Runtime.cacheStats();
   double ParWall = 0, ParCpu = 0;
   auto Finish = [&] {
     R.WallSeconds = T0.seconds();
     R.CpuSeconds = std::max(0.0, R.WallSeconds - ParWall) + ParCpu;
-    R.Cache = Runtime.cacheStats() - Cache0;
+    R.Cache = Runtime.cacheStats();
     flushValidityMetrics("preconditions", R);
   };
   const ResourceSpecDecl &Decl = Runtime.decl();
@@ -518,12 +517,11 @@ ValidityResult ValidityChecker::checkCommutativity() {
   ValidityResult R;
   TraceSpan PropSpan("validity", "commutativity");
   Stopwatch T0;
-  CacheStats Cache0 = Runtime.cacheStats();
   double ParWall = 0, ParCpu = 0;
   auto Finish = [&] {
     R.WallSeconds = T0.seconds();
     R.CpuSeconds = std::max(0.0, R.WallSeconds - ParWall) + ParCpu;
-    R.Cache = Runtime.cacheStats() - Cache0;
+    R.Cache = Runtime.cacheStats();
     flushValidityMetrics("commutativity", R);
   };
   const ResourceSpecDecl &Decl = Runtime.decl();
@@ -649,11 +647,10 @@ ValidityResult ValidityChecker::checkHistoryCoherence() {
   ValidityResult R;
   TraceSpan PropSpan("validity", "history");
   Stopwatch T0;
-  CacheStats Cache0 = Runtime.cacheStats();
   // Sequential tier: aggregate worker time equals wall time.
   auto Finish = [&] {
     R.CpuSeconds = R.WallSeconds = T0.seconds();
-    R.Cache = Runtime.cacheStats() - Cache0;
+    R.Cache = Runtime.cacheStats();
     flushValidityMetrics("history", R);
   };
   const ResourceSpecDecl &Decl = Runtime.decl();
@@ -756,7 +753,6 @@ ValidityResult ValidityChecker::check() {
   C.AbsintSplits += R.AbsintSplits;
   C.WallSeconds += R.WallSeconds;
   C.CpuSeconds += R.CpuSeconds;
-  C.Cache += R.Cache;
   if (!C.Valid)
     return C;
   ValidityResult H = checkHistoryCoherence();
@@ -768,7 +764,6 @@ ValidityResult ValidityChecker::check() {
   H.AbsintSplits += C.AbsintSplits;
   H.WallSeconds += C.WallSeconds;
   H.CpuSeconds += C.CpuSeconds;
-  H.Cache += C.Cache;
   H.Absint = C.Absint ? C.Absint : R.Absint;
   // The spec as a whole holds on the unbounded domains only when both
   // symbolic properties were fully discharged and nothing was left to the

@@ -49,9 +49,8 @@ namespace commcsl {
 /// service request runs. The concrete tiers consult it at instance and
 /// chunk boundaries, so exhaustion drains gracefully: work already
 /// dispatched to pool workers finishes, no new work starts, and nothing is
-/// torn down. Memoized evaluation is pure, so entries a cut-short check
-/// already wrote into the warm spec caches stay correct — a timeout never
-/// requires (or performs) any cache invalidation.
+/// torn down. A cut-short check reports TimedOut, and the verdict memo
+/// (verifier/SpecVerdictMemo.h) never stores such a result.
 ///
 /// Steps are concrete check instances (the same unit as BoundedChecks +
 /// RandomChecks). The step cap is an atomic counter; the deadline is
@@ -143,11 +142,6 @@ struct ValidityConfig {
   /// surviving counterexample is always the one with the lowest global
   /// instance index.
   unsigned Jobs = 0;
-  /// Memoize alpha/action evaluations in a per-checker concurrent cache.
-  /// Evaluation is pure, so the verdict, counterexample, and check counts
-  /// are bit-identical with memoization on or off; only speed (and the
-  /// diagnostic cache counters in ValidityResult) changes.
-  bool Memoize = true;
 };
 
 /// A concrete refutation of validity.
@@ -197,8 +191,9 @@ struct ValidityResult {
   /// Aggregate time spent by all workers (>= WallSeconds when parallel);
   /// CpuSeconds / WallSeconds approximates the realized speedup.
   double CpuSeconds = 0;
-  /// Memo-cache counters for this check (zeros when Memoize is off).
-  /// Diagnostic only: hit/miss splits may vary with thread interleaving.
+  /// Counters of the checker's private alpha/f_a memo, cumulative over
+  /// every property the checker has run so far. Diagnostic only: hit/miss
+  /// splits may vary with thread interleaving.
   CacheStats Cache;
 };
 
@@ -298,9 +293,8 @@ private:
   bool runBoundedTier(size_t NumArgPairs, const BoundedInstanceCheck &Check,
                       ValidityResult &R, double &ParWall, double &ParCpu);
 
-  /// Private copy of the caller's runtime; the constructor attaches a memo
-  /// cache to it when Config.Memoize is set (and the caller didn't already
-  /// attach one), leaving the caller's runtime untouched.
+  /// The caller's spec and program with the checker's private memo cache;
+  /// the caller's runtime is left untouched.
   RSpecRuntime Runtime;
   ValidityConfig Config;
   Type::ScopeParams Scope;

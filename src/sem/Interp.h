@@ -84,11 +84,11 @@ struct RunConfig {
   /// initial value and aborts if it does not reproduce the current value —
   /// an executable sanity check of the Sec. 3.5 consistency bookkeeping.
   bool CheckConsistencyOnUnshare = false;
-  /// Optional shared memoization registry for resource-spec evaluation
-  /// (`alpha`, `f_a`). When set, every `perform`/`share`/enabledness check
-  /// reuses the per-spec cache instead of re-evaluating through the
-  /// expression interpreter. Callers may share one registry across many
-  /// runs (it is thread-safe); it must not outlive the Program.
+  /// Optional memoization registry for resource-spec evaluation (`alpha`,
+  /// `f_a`). When set, every `perform`/`share`/enabledness check reuses the
+  /// per-spec cache instead of re-evaluating through the expression
+  /// interpreter. The NI harness sets one per sweep and shares it across
+  /// the sweep's runs (it is thread-safe); it must not outlive the Program.
   std::shared_ptr<SpecCacheRegistry> SpecCaches;
 };
 

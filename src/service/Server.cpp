@@ -51,19 +51,6 @@ struct Server::Connection {
 
 namespace {
 
-JsonValue cacheJson(const CacheStats &C) {
-  JsonValue O = JsonValue::object();
-  O.set("alpha_hits", JsonValue::number(C.AlphaHits));
-  O.set("alpha_misses", JsonValue::number(C.AlphaMisses));
-  O.set("action_hits", JsonValue::number(C.ActionHits));
-  O.set("action_misses", JsonValue::number(C.ActionMisses));
-  O.set("hits", JsonValue::number(C.hits()));
-  O.set("misses", JsonValue::number(C.misses()));
-  O.set("entries", JsonValue::number(C.Entries));
-  O.set("evictions", JsonValue::number(C.Evictions));
-  return O;
-}
-
 /// Echoes the request's `id` (verbatim, any JSON type) into a response
 /// object. Requests without an id get responses without one.
 JsonValue responseShell(const JsonValue *Request) {
@@ -93,7 +80,6 @@ std::string responseLine(const JsonValue &Request,
   if (!Resp.Cert.empty())
     O.set("cert", JsonValue::string(Resp.Cert));
   O.set("program_cache_hit", JsonValue::boolean(Resp.ProgramCacheHit));
-  O.set("cache", cacheJson(Resp.Cache));
   return O.dump() + "\n";
 }
 
@@ -381,8 +367,8 @@ void Server::workerLoop() {
       ServiceResponse Resp = Sess.handle(Request);
       if (Resp.TimedOut)
         // Typed timeout: the budget fired before a verdict. The partial
-        // work drained gracefully and the warm caches are untouched, so a
-        // retry with a larger budget starts from a warmer state.
+        // work drained gracefully and the program stays cached, so a retry
+        // with a larger budget skips the parse.
         Item.Conn->writeLine(errorLine(
             &*J, "timeout",
             "request exceeded its budget (budget_ms/max_steps) before "
@@ -416,14 +402,6 @@ std::string Server::statsJson() const {
   PC.set("misses", JsonValue::number(S.ProgramCacheMisses));
   PC.set("programs", JsonValue::number(S.ProgramsCached));
   O.set("program_cache", std::move(PC));
-  JsonValue SC = cacheJson(S.Spec);
-  const uint64_t Total = S.Spec.hits() + S.Spec.misses();
-  SC.set("hit_rate",
-         JsonValue::number(Total ? static_cast<double>(S.Spec.hits()) /
-                                       static_cast<double>(Total)
-                                 : 0.0));
-  O.set("spec_cache", std::move(SC));
-  O.set("specs_cached", JsonValue::number(S.SpecsCached));
   // The registry pretty-prints; re-emit it compact so the response stays a
   // single ndjson line.
   if (std::optional<JsonValue> Metrics =

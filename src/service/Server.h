@@ -24,7 +24,7 @@
 /// Response shape:
 ///
 ///   {"id":1,"ok":true,"exit":0,"report":"acct.hv: verified\n",
-///    "program_cache_hit":false,"cache":{"alpha_hits":...,...}}
+///    "program_cache_hit":false}
 ///   {"id":9,"error":{"type":"busy","message":"..."}}
 ///
 /// Error types: `bad-request` (unparseable line / missing field),
@@ -37,7 +37,10 @@
 /// `jobs`, under any interleaving of concurrent clients — the determinism
 /// contract the E2E tests enforce. `stats` and `shutdown` are handled
 /// inline (never queued), so health checks and shutdown cannot be starved
-/// by a full queue.
+/// by a full queue. `stats` carries the request and program-cache counters
+/// and the process metrics registry, whose stable counters
+/// `validity.verdict_memo.hits` / `.computed` show warm requests replaying
+/// validity verdicts instead of recomputing them.
 ///
 /// Shutdown (the `shutdown` verb, or `Server::stop` from a signal watcher)
 /// is graceful: stop accepting connections and queueing work, drain every

@@ -37,9 +37,8 @@ std::shared_ptr<CheckBudget> makeBudget(const ServiceRequest &Request) {
   return std::make_shared<CheckBudget>(Request.BudgetMs, Request.MaxSteps);
 }
 
-/// Marks \p Resp timed out when \p Budget fired. Caches are deliberately
-/// left alone: every entry a cut-short check wrote is a pure, correct
-/// evaluation, so the warm-cache contract survives timeouts unchanged.
+/// Marks \p Resp timed out when \p Budget fired. The program stays
+/// cached; the verdict memo already declined the cut-short verdict.
 void noteTimeout(const std::shared_ptr<CheckBudget> &Budget,
                  ServiceResponse &Resp) {
   if (!Budget || !Budget->fired())
@@ -88,14 +87,13 @@ Session::obtain(const std::string &Source, const std::string &Name,
 
   // Parse outside the lock; a racing request for the same source may get
   // here too, in which case the first insert wins and the loser adopts it
-  // (one canonical Program per source keeps the spec caches shared).
+  // (one entry per source keeps the verdict memo shared).
   auto Fresh = std::make_shared<CachedProgram>();
   {
     Driver D; // parse phase only; driver options are irrelevant to it
     TraceSpan Span("service", [&] { return "parse " + Name; });
     Fresh->Unit = D.parseAndCheck(Source, Name);
   }
-  Fresh->SpecCaches = std::make_shared<SpecCacheRegistry>();
 
   std::lock_guard<std::mutex> Lock(Mu);
   auto [It, Inserted] = Programs.emplace(Source, Fresh);
@@ -129,7 +127,7 @@ Session::driverOptions(const ServiceRequest &Request,
   O.Triage = Request.Triage || Options.Triage;
   O.Verifier.SkipValidityCheck = Request.NoValidity;
   O.Verifier.EmitCert = Request.EmitCert;
-  O.Verifier.SpecCaches = P->SpecCaches;
+  O.Verifier.VerdictMemo = P->Verdicts;
   return O;
 }
 
@@ -143,7 +141,6 @@ ServiceResponse Session::verify(const ServiceRequest &Request) {
     ++Requests;
   }
 
-  CacheStats Before = P->SpecCaches->totals();
   std::shared_ptr<CheckBudget> Budget = makeBudget(Request);
   DriverOptions DO = driverOptions(Request, P);
   DO.Verifier.Validity.Budget = Budget;
@@ -171,7 +168,6 @@ ServiceResponse Session::verify(const ServiceRequest &Request) {
     }
   }
 
-  Resp.Cache = P->SpecCaches->totals() - Before;
   noteTimeout(Budget, Resp);
   return Resp;
 }
@@ -194,12 +190,11 @@ ServiceResponse Session::validity(const ServiceRequest &Request) {
     return Resp;
   }
 
-  CacheStats Before = P->SpecCaches->totals();
   std::shared_ptr<CheckBudget> Budget = makeBudget(Request);
   VerifierConfig VC;
   VC.Validity.Jobs = Request.Jobs != 0 ? Request.Jobs : Options.Jobs;
   VC.Validity.Budget = Budget;
-  VC.SpecCaches = P->SpecCaches;
+  VC.VerdictMemo = P->Verdicts;
   DiagnosticEngine Diags;
   Verifier V(*P->Unit.Prog, Diags, VC);
   std::string Lines;
@@ -218,7 +213,6 @@ ServiceResponse Session::validity(const ServiceRequest &Request) {
   Resp.Report += Lines;
   Resp.Ok = AllValid;
   Resp.Exit = AllValid ? 0 : 1;
-  Resp.Cache = P->SpecCaches->totals() - Before;
   noteTimeout(Budget, Resp);
   return Resp;
 }
@@ -256,16 +250,13 @@ ServiceResponse Session::ni(const ServiceRequest &Request) {
     return Resp;
   }
 
-  CacheStats Before = P->SpecCaches->totals();
   NIConfig Config;
   Config.Jobs = Request.Jobs != 0 ? Request.Jobs : Options.Jobs;
-  Config.SharedSpecCaches = P->SpecCaches;
   NonInterferenceHarness Harness(*P->Unit.Prog, Request.Proc, Config);
   NIReport Report = Harness.run();
   Resp.Report = formatNIBlock(Report);
   Resp.Ok = Report.secure();
   Resp.Exit = Resp.Ok ? 0 : 1;
-  Resp.Cache = P->SpecCaches->totals() - Before;
   return Resp;
 }
 
@@ -293,14 +284,6 @@ SessionStats Session::stats() const {
   S.ProgramCacheHits = CacheHits;
   S.ProgramCacheMisses = CacheMisses;
   S.ProgramsCached = Programs.size();
-  for (const auto &[Source, P] : Programs) {
-    (void)Source;
-    S.SpecsCached += P->SpecCaches->size();
-    CacheStats T = P->SpecCaches->totals();
-    uint64_t E = S.Spec.Entries + T.Entries; // sum gauges across registries
-    S.Spec += T;
-    S.Spec.Entries = E;
-  }
   return S;
 }
 

@@ -8,18 +8,21 @@
 /// The library service layer the serve daemon (and any embedder) drives:
 /// a `Session` owns everything the one-shot CLI rebuilds per invocation —
 /// the shared ThreadPool (via ThreadPool::shared()), the process-wide
-/// value-intern table, a bounded LRU cache of parsed programs, and one
-/// `SpecCacheRegistry` per cached program — and exposes a request API
-/// covering the five subsystems: verify, validity, analyze, NI, fuzz.
+/// value-intern table, and a bounded LRU cache of parsed programs, each
+/// with its own validity-verdict memo — and exposes a request API covering
+/// the five subsystems: verify, validity, analyze, NI, fuzz.
 ///
-/// Warm-cache contract: a resubmitted source skips the parse phase and
-/// reuses the cached `Program` object, so its resource-spec declarations
-/// keep their addresses and the per-spec alpha/f_a memo caches (PR 2) stay
-/// warm — repeated spec families hit the memo layer instead of
-/// recomputing. Memoized evaluation is pure, so every response is
-/// byte-identical cold or warm, at any `Jobs`, under any interleaving of
-/// concurrent requests (chunk outcomes are functions of global item
-/// indices, never of the executing worker; see DESIGN §11).
+/// Warm-cache contract: a resubmitted source skips the parse phase, and
+/// its `verify` and `validity` requests replay each spec's Def. 3.1
+/// verdict from the entry's content-keyed `SpecVerdictMemo` instead of
+/// re-running the validity checker (the stable metrics counter
+/// `validity.verdict_memo.hits` grows, `.computed` does not). A replayed
+/// verdict carries the same diagnostics and certificate unit, so every
+/// response is byte-identical cold or warm, at any `Jobs`, under any
+/// interleaving of concurrent requests (chunk outcomes are functions of
+/// global item indices, never of the executing worker; see DESIGN §11).
+/// Timed-out verdicts are never stored, and a budgeted request whose spec
+/// is being computed by another request waits for that computation.
 ///
 /// Thread model: every method is safe to call from multiple request
 /// threads concurrently. Requests multiplex onto the one shared pool;
@@ -33,7 +36,7 @@
 
 #include "fuzz/Campaign.h"
 #include "hyperviper/Driver.h"
-#include "rspec/EvalCache.h"
+#include "verifier/SpecVerdictMemo.h"
 
 #include <cstdint>
 #include <list>
@@ -52,7 +55,7 @@ struct SessionOptions {
   /// Verifier triage fast path for verify requests.
   bool Triage = false;
   /// Parsed programs kept warm (LRU beyond this). Evicting a program also
-  /// drops its spec memo caches.
+  /// drops its verdict memo.
   size_t MaxCachedPrograms = 32;
 };
 
@@ -84,8 +87,8 @@ struct ServiceRequest {
   /// (verify and validity verbs). 0 = unlimited. When it fires the request
   /// comes back with TimedOut set and the daemon answers with a typed
   /// `timeout` error. Exhaustion drains gracefully — dispatched pool work
-  /// finishes, nothing is torn down — and the warm caches are untouched:
-  /// memoized evaluation is pure, so partial entries are correct and stay.
+  /// finishes, nothing is torn down — and the program stays cached; the
+  /// cut-short verdict is not memoized.
   uint64_t BudgetMs = 0;
   /// Cap on concrete check instances (bounded + random tiers) across the
   /// request, same unit as BoundedChecks + RandomChecks. 0 = unlimited.
@@ -104,9 +107,6 @@ struct ServiceResponse {
   /// when the program failed to parse). Byte-identical to what the CLI's
   /// `--emit-cert` writes for the same source.
   std::string Cert;
-  /// Spec memo counters attributable to this request (snapshot deltas;
-  /// clamped, so cache resets between snapshots cannot wrap them).
-  CacheStats Cache;
   /// True when the request's program came from the warm program cache.
   bool ProgramCacheHit = false;
   /// True when the request's budget (BudgetMs/MaxSteps) fired before a
@@ -121,8 +121,6 @@ struct SessionStats {
   uint64_t ProgramCacheHits = 0;
   uint64_t ProgramCacheMisses = 0;
   uint64_t ProgramsCached = 0;
-  uint64_t SpecsCached = 0; ///< distinct specs holding a memo cache
-  CacheStats Spec;          ///< summed over every live program's registry
 };
 
 /// The long-lived service object. See the file comment for the ownership
@@ -142,17 +140,18 @@ public:
 
   SessionStats stats() const;
 
-  /// Drops every cached program and its memo caches (maintenance hook).
+  /// Drops every cached program and its verdict memo (maintenance hook).
   void resetCaches();
 
 private:
-  /// A parsed program plus its warm per-spec memo caches. Cached entries
-  /// are shared_ptrs so eviction cannot invalidate a request mid-flight:
-  /// an in-flight request keeps its entry (program, caches and all) alive
-  /// until it completes.
+  /// A parsed program plus the validity verdicts its requests computed.
+  /// Cached entries are shared_ptrs so eviction cannot invalidate a request
+  /// mid-flight: an in-flight request keeps its entry (program, memo and
+  /// all) alive until it completes.
   struct CachedProgram {
     ParsedUnit Unit;
-    std::shared_ptr<SpecCacheRegistry> SpecCaches;
+    std::shared_ptr<SpecVerdictMemo> Verdicts =
+        std::make_shared<SpecVerdictMemo>();
     uint64_t LastUse = 0;
   };
 

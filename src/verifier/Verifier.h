@@ -49,23 +49,14 @@ struct VerifierConfig {
   ValidityConfig Validity;
   /// Skip spec validity (used by unit tests that target program rules).
   bool SkipValidityCheck = false;
-  /// Optional shared per-spec memo-cache registry. When set, `verifySpec`
-  /// evaluates through `SpecCaches->cacheFor(&Spec)` instead of a private
-  /// per-checker cache, so entries stay warm across Verifier instances —
-  /// the serve daemon's repeated-spec-family fast path. Memoized
-  /// evaluation is pure, so verdicts, counterexamples, and diagnostics are
-  /// identical warm or cold; only the (diagnostic) hit/miss counters
-  /// change. The registry must not outlive the Program that owns the spec
-  /// declarations used to key it. `Driver::runEmpirical` forwards it to the
-  /// NI harness when the harness config names no registry of its own.
-  std::shared_ptr<SpecCacheRegistry> SpecCaches;
   /// Optional content-keyed memo of validity verdicts. When set,
   /// `verifySpec` runs the ValidityChecker only for a spec text, function
   /// set and result-relevant configuration the memo has not seen; a hit
   /// replays the stored verdict, counterexample and certificate unit, with
   /// diagnostics placed at the current declaration. Reports are identical
-  /// with or without it. Null (the CLI, serve and direct-Verifier default)
-  /// checks every spec afresh.
+  /// with or without it. Null (the CLI and direct-Verifier default) checks
+  /// every spec afresh; the fuzz oracle and each serve program-cache entry
+  /// set one.
   std::shared_ptr<SpecVerdictMemo> VerdictMemo;
   /// Record proof certificates: per-spec validity evidence and per-proc
   /// entailment derivations (cert/Cert.h), re-checkable by the independent
@@ -96,9 +87,6 @@ struct VerifyResult {
   bool Ok = false;
   std::vector<ProcVerdict> Procs;
   unsigned NumSpecsChecked = 0;
-  /// Memo-cache counters summed over every spec validity check (zeros when
-  /// ValidityConfig::Memoize is off). Diagnostic only.
-  CacheStats SpecCache;
   /// Certificate units for the checked specs, in program order (set when
   /// EmitCert and validity checking is not skipped).
   std::vector<cert::CertSpecUnit> SpecUnits;
@@ -123,10 +111,6 @@ public:
   /// Verifies one procedure against its contract.
   ProcVerdict verifyProc(const ProcDecl &Proc);
 
-  /// Memo-cache counters accumulated across every `verifySpec` call made
-  /// through this verifier so far.
-  const CacheStats &specCacheStats() const { return SpecCache; }
-
   /// Spec certificate units built so far (EmitCert only), keyed by name.
   const std::map<std::string, cert::CertSpecUnit> &specUnits() const {
     return SpecUnits;
@@ -137,7 +121,6 @@ private:
   const Program &Prog;
   DiagnosticEngine &Diags;
   VerifierConfig Config;
-  CacheStats SpecCache; ///< summed ValidityResult::Cache
   /// Spec certificate units built so far (EmitCert only), by name.
   std::map<std::string, cert::CertSpecUnit> SpecUnits;
 };

@@ -183,27 +183,8 @@ TEST(HyperTest, ReportIsIdenticalAcrossJobCounts) {
       out := h;
     }
   )";
-
-  for (const char *Source : {Secure, Leaky}) {
-    NIReport Seq = RunWith(Source, 1);
-    for (unsigned Jobs : {2u, 8u}) {
-      NIReport Par = RunWith(Source, Jobs);
-      EXPECT_EQ(Par.secure(), Seq.secure()) << "Jobs=" << Jobs;
-      EXPECT_EQ(Par.Runs, Seq.Runs) << "Jobs=" << Jobs;
-      EXPECT_EQ(Par.PairsCompared, Seq.PairsCompared) << "Jobs=" << Jobs;
-      if (!Seq.secure() && !Par.secure()) {
-        EXPECT_EQ(Par.Violation->describe(), Seq.Violation->describe())
-            << "Jobs=" << Jobs;
-      }
-    }
-  }
-}
-
-TEST(HyperTest, ReportIsIdenticalWithAndWithoutMemoization) {
-  // Spec-evaluation memoization caches pure functions, so the report must
-  // be bit-identical with the cache on or off, sequential or parallel —
-  // only the diagnostic cache counters may differ.
-  const char *Source = R"(
+  // Runs through resources, so every trial shares the sweep's spec memo.
+  const char *SharedCell = R"(
     resource Cell {
       state: int;
       alpha(v) = v;
@@ -224,33 +205,17 @@ TEST(HyperTest, ReportIsIdenticalWithAndWithoutMemoization) {
       s := unshare r;
     }
   )";
-  auto RunWith = [&](bool Memo, unsigned Jobs) {
-    Program P = parseChecked(Source);
-    NIConfig Cfg;
-    Cfg.InputScope.IntHi = 6;
-    Cfg.Trials = 4;
-    Cfg.Jobs = Jobs;
-    Cfg.MemoizeSpecEval = Memo;
-    NonInterferenceHarness H(P, "main", Cfg);
-    return H.run();
-  };
-  NIReport Ref = RunWith(false, 1);
-  EXPECT_EQ(Ref.Cache.hits() + Ref.Cache.misses(), 0u);
-  for (bool Memo : {false, true}) {
-    for (unsigned Jobs : {1u, 8u}) {
-      NIReport R = RunWith(Memo, Jobs);
-      EXPECT_EQ(R.secure(), Ref.secure())
-          << "Memo=" << Memo << " Jobs=" << Jobs;
-      EXPECT_EQ(R.Runs, Ref.Runs) << "Memo=" << Memo << " Jobs=" << Jobs;
-      EXPECT_EQ(R.PairsCompared, Ref.PairsCompared)
-          << "Memo=" << Memo << " Jobs=" << Jobs;
-      if (!Ref.secure() && !R.secure()) {
-        EXPECT_EQ(R.Violation->describe(), Ref.Violation->describe())
-            << "Memo=" << Memo << " Jobs=" << Jobs;
-      }
-      if (Memo) {
-        EXPECT_GT(R.Cache.hits() + R.Cache.misses(), 0u)
-            << "memoized sweep never consulted the cache";
+
+  for (const char *Source : {Secure, Leaky, SharedCell}) {
+    NIReport Seq = RunWith(Source, 1);
+    for (unsigned Jobs : {2u, 8u}) {
+      NIReport Par = RunWith(Source, Jobs);
+      EXPECT_EQ(Par.secure(), Seq.secure()) << "Jobs=" << Jobs;
+      EXPECT_EQ(Par.Runs, Seq.Runs) << "Jobs=" << Jobs;
+      EXPECT_EQ(Par.PairsCompared, Seq.PairsCompared) << "Jobs=" << Jobs;
+      if (!Seq.secure() && !Par.secure()) {
+        EXPECT_EQ(Par.Violation->describe(), Seq.Violation->describe())
+            << "Jobs=" << Jobs;
       }
     }
   }

@@ -10,9 +10,12 @@
 /// verify / analyze / fuzz / suggest-spec subcommands, strict numeric
 /// option values, and the observability flags —
 /// `--trace` emits Chrome trace-event JSON, `--metrics-json` emits a
-/// registry dump whose "counts" object is identical at any job count.
+/// registry dump whose "counts" object is identical at any job count —
+/// and the parser's nesting limit.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "parser/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -270,4 +273,61 @@ TEST(CliSuggestSpecTest, MaxTruncatesDeterministically) {
   EXPECT_NE(R.Output.find("tried 3 candidates (truncated)"),
             std::string::npos)
       << R.Output;
+}
+
+namespace {
+
+/// Writes `main`, whose body holds \p Body, and returns the file's path.
+std::string writeMain(const std::string &Name, const std::string &Body) {
+  std::string Path = tmpPath(Name);
+  std::ofstream(Path) << "procedure main(l: int) returns (out: int)\n"
+                         "  requires low(l)\n  ensures low(out)\n{\n  "
+                      << Body << "\n}\n";
+  return Path;
+}
+
+/// `out := ((...(l)...));`: the statement, its right-hand side and each
+/// parenthesis open one level.
+std::string parens(unsigned N) {
+  return "out := " + std::string(N, '(') + "l" + std::string(N, ')') + ";";
+}
+
+/// \p N nested ifs around `out := l;`, which opens two more levels.
+std::string nestedIfs(unsigned N) {
+  std::string Open, Close;
+  for (unsigned I = 0; I < N; ++I) {
+    Open += "if (l < 0) { ";
+    Close += " }";
+  }
+  return "out := l; " + Open + "out := l;" + Close;
+}
+
+} // namespace
+
+TEST(CliNestingTest, OverTheLimitIsAParseErrorNotACrash) {
+  const unsigned Max = commcsl::Parser::MaxNesting;
+  for (const std::string &At : {parens(Max - 2), nestedIfs(Max - 2)}) {
+    CmdResult R = run("--ni main " + writeMain("at.hv", At));
+    EXPECT_EQ(R.Exit, 0) << R.Output;
+    EXPECT_NE(R.Output.find(": verified"), std::string::npos) << R.Output;
+    EXPECT_NE(R.Output.find("no violation"), std::string::npos) << R.Output;
+  }
+
+  const std::string Limit = "error [parse]: nesting exceeds the limit of " +
+                            std::to_string(Max) + " levels";
+  for (const std::string &Over :
+       {parens(Max - 1), parens(20000), nestedIfs(Max - 1), nestedIfs(5000)}) {
+    CmdResult R = run(writeMain("over.hv", Over));
+    EXPECT_EQ(R.Exit, 1); // REJECTED, not SIGSEGV
+    EXPECT_NE(R.Output.find(Limit), std::string::npos)
+        << R.Output.substr(0, 300);
+  }
+  // analyze shows the offending line with a caret under column Max + 9,
+  // the token inside the innermost allowed paren (the block and the
+  // snippet each indent by two).
+  CmdResult R = run("analyze " + writeMain("over.hv", parens(20000)));
+  EXPECT_EQ(R.Exit, 0);
+  EXPECT_NE(R.Output.find(": parse-error\n"), std::string::npos);
+  EXPECT_NE(R.Output.find("\n" + std::string(Max + 12, ' ') + "^\n"),
+            std::string::npos);
 }

@@ -411,3 +411,83 @@ TEST(ParserTest, ResourceHandleReassignmentRejected) {
   )");
   EXPECT_TRUE(D.hasErrorWithCode(DiagCode::TypeError));
 }
+
+namespace {
+
+/// `main` with \p Expr as the right-hand side of its one assignment. The
+/// statement and its expression open two nesting levels.
+std::string mainAssigning(const std::string &Expr) {
+  return "procedure main(l: int) returns (out: int)\n"
+         "  requires low(l)\n  ensures low(out)\n{\n  out := " +
+         Expr + ";\n}\n";
+}
+
+std::string parens(unsigned N) {
+  return mainAssigning(std::string(N, '(') + "l" + std::string(N, ')'));
+}
+
+/// \p N nested `if` statements around `out := l;`.
+std::string nestedIfs(unsigned N) {
+  std::string Body;
+  for (unsigned I = 0; I < N; ++I)
+    Body += "if (l < 0) { ";
+  Body += "out := l;";
+  for (unsigned I = 0; I < N; ++I)
+    Body += " }";
+  return "procedure main(l: int) returns (out: int)\n"
+         "  requires low(l)\n  ensures low(out)\n{\n  out := l;\n  " +
+         Body + "\n}\n";
+}
+
+} // namespace
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  const unsigned Max = Parser::MaxNesting;
+  std::string Negations;
+  for (unsigned I = 0; I + 3 < Max; ++I)
+    Negations += "- ";
+  for (const std::string &Source :
+       {parens(Max - 2), nestedIfs(Max - 2), mainAssigning(Negations + "l")}) {
+    DiagnosticEngine Diags;
+    Program P = Parser::parse(Source, Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    EXPECT_NE(P.findProc("main"), nullptr);
+  }
+}
+
+TEST(ParserTest, NestingOverTheLimitIsOneLocatedParseError) {
+  const unsigned Max = Parser::MaxNesting;
+  struct Case {
+    std::string Source;
+    unsigned Column; ///< of the token that opens level Max + 1
+  };
+  // `  out := ` puts the first '(' in column 10, so the expression inside
+  // paren Max - 1 starts in column 10 + Max - 1. The if chain starts in
+  // column 3, 13 characters per `if (l < 0) { `; the innermost statement
+  // is at level Max and its right-hand side, 7 characters in, crosses.
+  for (const Case &C : {Case{parens(Max - 1), 10 + Max - 1},
+                        Case{parens(20000), 10 + Max - 1},
+                        Case{nestedIfs(Max - 1), 3 + 13 * (Max - 1) + 7}}) {
+    DiagnosticEngine Diags;
+    Parser::parse(C.Source, Diags);
+    ASSERT_EQ(Diags.diagnostics().size(), 1u) << Diags.str();
+    const Diagnostic &D = Diags.diagnostics().front();
+    EXPECT_EQ(D.Code, DiagCode::ParseError);
+    EXPECT_EQ(D.Message, "nesting exceeds the limit of " + std::to_string(Max) +
+                         " levels");
+    EXPECT_EQ(D.Loc.Column, C.Column);
+  }
+}
+
+TEST(ParserTest, StrayBlockInStatementPositionTerminates) {
+  // The statement sync stops before a '{'; unless the parser skips it, the
+  // enclosing block offers the same token again without end.
+  DiagnosticEngine Diags;
+  Program P = Parser::parse(R"(
+    procedure main() returns (out: int) { { out := 0; } }
+    procedure fine() { skip; }
+  )",
+                            Diags);
+  EXPECT_TRUE(Diags.hasErrorWithCode(DiagCode::ParseError));
+  EXPECT_NE(P.findProc("fine"), nullptr);
+}

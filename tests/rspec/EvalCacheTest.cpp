@@ -1,68 +1,123 @@
-//===-- tests/rspec/EvalCacheTest.cpp - Spec memo eviction tests -----------===//
+//===-- tests/rspec/EvalCacheTest.cpp - Spec memo tests --------------------===//
 //
 // Part of the CommCSL-C++ project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Capacity-bound behavior of SpecEvalCache: a full shard evicts half of
-/// its entries (not all of them), Entries never exceeds the configured
-/// capacity, and eviction counters record what was actually dropped.
+/// SpecEvalCache: a runtime with the memo attached evaluates exactly like
+/// one without it, a full shard evicts half of its entries (not all of
+/// them), and the live entries never exceed the configured capacity.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "rspec/EvalCache.h"
+#include "rspec/RSpec.h"
+
+#include "tests/common/TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace commcsl;
+using namespace commcsl::test;
 
 namespace {
 
 /// Distinct interned integer values make distinct cache keys.
 ValueRef key(int64_t I) { return ValueFactory::intV(I); }
 
+/// Whether \p K is cached in the alpha table. A throwing compute makes the
+/// lookup pure: a miss inserts nothing, so probing never evicts.
+bool alphaCached(SpecEvalCache &C, const ValueRef &K) {
+  try {
+    C.alpha(K, []() -> ValueRef { throw 0; });
+    return true;
+  } catch (int) {
+    return false;
+  }
+}
+
+bool actionCached(SpecEvalCache &C, const ActionDecl &A, const ValueRef &K) {
+  try {
+    C.action(A, K, K, []() -> ValueRef { throw 0; });
+    return true;
+  } catch (int) {
+    return false;
+  }
+}
+
 } // namespace
+
+TEST(EvalCacheTest, CachedRuntimeEvaluatesLikeUncached) {
+  Program P = parseChecked(R"(
+    resource Mod {
+      state: int;
+      alpha(v) = v % 3;
+      shared action Add(a: int) { apply(v, a) = v + a; requires low(a); }
+    }
+  )");
+  const ResourceSpecDecl &Spec = P.Specs[0];
+  const ActionDecl &Add = Spec.Actions[0];
+  RSpecRuntime Plain(Spec, &P);
+  RSpecRuntime Cached(Spec, &P, std::make_shared<SpecEvalCache>());
+  for (int Pass = 0; Pass < 2; ++Pass)
+    for (int64_t V = -5; V <= 5; ++V) {
+      EXPECT_TRUE(Value::equal(Cached.alphaOf(key(V)), Plain.alphaOf(key(V))))
+          << V;
+      for (int64_t A = -2; A <= 2; ++A)
+        EXPECT_TRUE(Value::equal(Cached.applyAction(Add, key(V), key(A)),
+                                 Plain.applyAction(Add, key(V), key(A))))
+            << V << " " << A;
+    }
+  // The second pass was served from the memo.
+  EXPECT_EQ(Cached.cacheStats().misses(), 11u + 11u * 5u);
+  EXPECT_EQ(Cached.cacheStats().hits(), 11u + 11u * 5u);
+  EXPECT_EQ(Plain.cacheStats().hits() + Plain.cacheStats().misses(), 0u);
+}
 
 TEST(EvalCacheTest, FirstOverflowEvictsHalfTheShardNotAll) {
   SpecEvalCache C(/*MaxEntries=*/0); // floor: ShardCap = 64
   const size_t Cap = C.shardCap();
   ASSERT_EQ(Cap, 64u);
-  // Insert distinct keys until some shard overflows for the first time.
-  for (int64_t I = 0; I < 4096; ++I) {
-    ValueRef V = key(I);
-    C.alpha(V, [&] { return V; });
-    CacheStats S = C.stats();
-    if (S.Evictions > 0) {
-      // evictHalf drops every other entry of a full shard: exactly
-      // ceil(Cap / 2). A clear() would have reported Cap.
-      EXPECT_EQ(S.Evictions, Cap / 2);
-      return;
-    }
-  }
-  FAIL() << "no shard ever overflowed";
+  // Cap + 1 keys that all land in one alpha shard: the last insert finds
+  // the shard full.
+  std::vector<ValueRef> Keys;
+  for (int64_t I = 0; Keys.size() < Cap + 1; ++I)
+    if (key(I)->hash() % SpecEvalCache::numShards() == 0)
+      Keys.push_back(key(I));
+  for (const ValueRef &K : Keys)
+    C.alpha(K, [&] { return K; });
+  // evictHalf drops every other entry of the full shard: exactly Cap / 2
+  // of the first Cap keys survive. Dropping everything would leave none.
+  size_t Survivors = 0;
+  for (size_t I = 0; I < Cap; ++I)
+    Survivors += alphaCached(C, Keys[I]);
+  EXPECT_EQ(Survivors, Cap / 2);
+  EXPECT_TRUE(alphaCached(C, Keys[Cap]));
 }
 
 TEST(EvalCacheTest, EntriesNeverExceedConfiguredCapacity) {
   SpecEvalCache C(/*MaxEntries=*/0);
-  const uint64_t TotalCap =
-      2 * SpecEvalCache::numShards() * C.shardCap(); // alpha + action side
-  uint64_t MaxSeen = 0;
+  const size_t TableCap = SpecEvalCache::numShards() * C.shardCap();
   ActionDecl Action;
   Action.Name = "act";
-  for (int64_t I = 0; I < 20000; ++I) {
+  constexpr int64_t N = 20000;
+  for (int64_t I = 0; I < N; ++I) {
     ValueRef V = key(I);
     C.alpha(V, [&] { return V; });
     C.action(Action, V, V, [&] { return V; });
-    if (I % 97 == 0)
-      MaxSeen = std::max(MaxSeen, C.stats().Entries);
   }
-  CacheStats S = C.stats();
-  MaxSeen = std::max(MaxSeen, S.Entries);
-  EXPECT_LE(MaxSeen, TotalCap);
-  EXPECT_GT(S.Evictions, 0u);
+  size_t Alpha = 0, Act = 0;
+  for (int64_t I = 0; I < N; ++I) {
+    Alpha += alphaCached(C, key(I));
+    Act += actionCached(C, Action, key(I));
+  }
+  EXPECT_LE(Alpha, TableCap);
+  EXPECT_LE(Act, TableCap);
   // Halving keeps survivors: the cache never collapses to empty shards.
-  EXPECT_GE(S.Entries, TotalCap / 4);
+  EXPECT_GE(Alpha + Act, 2 * TableCap / 4);
 }
 
 TEST(EvalCacheTest, SurvivorsStillHitAfterEviction) {
@@ -73,7 +128,7 @@ TEST(EvalCacheTest, SurvivorsStillHitAfterEviction) {
     ValueRef V = key(I);
     C.alpha(V, [&] { return V; });
   }
-  uint64_t HitsBefore = C.stats().AlphaHits;
+  uint64_t HitsBefore = C.stats().hits();
   unsigned Recomputed = 0;
   for (int64_t I = 0; I < 5000; ++I) {
     ValueRef V = key(I);
@@ -83,119 +138,18 @@ TEST(EvalCacheTest, SurvivorsStillHitAfterEviction) {
     });
     EXPECT_TRUE(Value::equal(R, V));
   }
-  CacheStats S = C.stats();
-  EXPECT_GT(S.AlphaHits, HitsBefore); // some keys survived eviction
-  EXPECT_GT(Recomputed, 0u);          // and some were evicted
+  EXPECT_GT(C.stats().hits(), HitsBefore); // some keys survived eviction
+  EXPECT_GT(Recomputed, 0u);               // and some were evicted
   EXPECT_LT(Recomputed, 5000u);
 }
 
-TEST(EvalCacheTest, ClearDropsEntriesAndZeroesCounters) {
-  SpecEvalCache C(/*MaxEntries=*/0);
-  ActionDecl Action;
-  Action.Name = "act";
-  for (int64_t I = 0; I < 100; ++I) {
-    ValueRef V = key(I);
-    C.alpha(V, [&] { return V; });
-    C.action(Action, V, V, [&] { return V; });
-  }
-  ASSERT_GT(C.stats().Entries, 0u);
-  ASSERT_GT(C.stats().misses(), 0u);
-
-  C.clear();
-  CacheStats S = C.stats();
-  EXPECT_EQ(S.Entries, 0u);
-  EXPECT_EQ(S.hits(), 0u);
-  EXPECT_EQ(S.misses(), 0u);
-  EXPECT_EQ(S.Evictions, 0u);
-
-  // The cache stays usable: everything recomputes (a miss), then hits.
-  unsigned Recomputed = 0;
-  ValueRef V = key(7);
-  C.alpha(V, [&] {
-    ++Recomputed;
-    return V;
-  });
-  C.alpha(V, [&] {
-    ++Recomputed;
-    return V;
-  });
-  EXPECT_EQ(Recomputed, 1u);
-}
-
-TEST(EvalCacheTest, SnapshotDeltaClampsAcrossClear) {
-  // The serve daemon computes per-request cache deltas as
-  // `after - before`; a clear() (or program eviction) between the two
-  // snapshots makes the later counters smaller. The subtraction must clamp
-  // at zero instead of wrapping to ~2^64 (the bug this test pins).
-  SpecEvalCache C(/*MaxEntries=*/0);
-  for (int64_t I = 0; I < 50; ++I) {
-    ValueRef V = key(I);
-    C.alpha(V, [&] { return V; });
-    C.alpha(V, [&] { return V; }); // second lookup hits
-  }
-  CacheStats Before = C.stats();
-  ASSERT_GT(Before.AlphaHits, 0u);
-  ASSERT_GT(Before.AlphaMisses, 0u);
-
-  C.clear();
-  ValueRef V = key(1);
-  C.alpha(V, [&] { return V; }); // one fresh miss after the reset
-
-  CacheStats Delta = C.stats() - Before;
-  // Clamped: never the huge wrapped values, and the post-clear activity
-  // cannot be mistaken for billions of hits.
-  EXPECT_EQ(Delta.AlphaHits, 0u);
-  EXPECT_LE(Delta.AlphaMisses, 1u);
-  EXPECT_EQ(Delta.ActionHits, 0u);
-  EXPECT_EQ(Delta.ActionMisses, 0u);
-  EXPECT_EQ(Delta.Evictions, 0u);
-  // Entries is a gauge: the delta keeps the later value as-is.
-  EXPECT_EQ(Delta.Entries, C.stats().Entries);
-}
-
-TEST(EvalCacheTest, SnapshotDeltaStaysConsistentThroughEvictionSweeps) {
-  // Same delta pattern across organic every-other eviction sweeps (no
-  // clear): counters are monotone, so deltas must be exact.
-  SpecEvalCache C(/*MaxEntries=*/0);
-  CacheStats Before = C.stats();
-  for (int64_t I = 0; I < 5000; ++I) {
-    ValueRef V = key(I);
-    C.alpha(V, [&] { return V; });
-  }
-  CacheStats After = C.stats();
-  ASSERT_GT(After.Evictions, 0u); // sweeps actually happened
-  CacheStats Delta = After - Before;
-  EXPECT_EQ(Delta.AlphaMisses, 5000u);
-  EXPECT_EQ(Delta.Evictions, After.Evictions);
-  EXPECT_EQ(Delta.Entries, After.Entries);
-  // Entries tracks live entries through sweeps: inserts minus evictions.
-  EXPECT_EQ(After.Entries, 5000u - After.Evictions);
-}
-
-TEST(EvalCacheTest, RegistrySizeTotalsAndClearAll) {
-  SpecCacheRegistry Registry(/*MaxEntriesPerSpec=*/0);
+TEST(EvalCacheTest, RegistryMapsEachSpecToOneCache) {
+  SpecCacheRegistry Registry;
   ResourceSpecDecl SpecA, SpecB;
   SpecA.Name = "a";
   SpecB.Name = "b";
-  EXPECT_EQ(Registry.size(), 0u);
-
   std::shared_ptr<SpecEvalCache> CA = Registry.cacheFor(&SpecA);
   std::shared_ptr<SpecEvalCache> CB = Registry.cacheFor(&SpecB);
-  EXPECT_EQ(Registry.size(), 2u);
+  EXPECT_NE(CA, CB);
   EXPECT_EQ(Registry.cacheFor(&SpecA), CA); // stable mapping
-
-  ValueRef V = key(42);
-  CA->alpha(V, [&] { return V; });
-  CB->alpha(V, [&] { return V; });
-  CacheStats T = Registry.totals();
-  EXPECT_EQ(T.AlphaMisses, 2u);
-  EXPECT_EQ(T.Entries, 2u);
-
-  Registry.clearAll();
-  T = Registry.totals();
-  EXPECT_EQ(T.Entries, 0u);
-  EXPECT_EQ(T.misses(), 0u);
-  // Handed-out caches stay attached (clearAll empties, not detaches).
-  CA->alpha(V, [&] { return V; });
-  EXPECT_EQ(Registry.totals().AlphaMisses, 1u);
 }

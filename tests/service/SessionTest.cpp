@@ -6,8 +6,8 @@
 ///
 /// \file
 /// In-process tests of the serve daemon's Session layer: CLI-byte-identity
-/// of reports, warm program/spec-cache reuse across requests, per-request
-/// cache deltas, LRU eviction, and the per-verb surfaces. Wire-level
+/// of reports, warm program and validity-verdict reuse across requests,
+/// LRU eviction, and the per-verb surfaces. Wire-level
 /// behavior lives in tests/hyperviper/ServeTest.cpp; this file pins the
 /// semantics the wire merely transports.
 ///
@@ -18,6 +18,8 @@
 #include "cert/Cert.h"
 #include "cert/Check.h"
 #include "hyperviper/Analyze.h"
+#include "parser/Parser.h"
+#include "support/trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -46,8 +48,8 @@ const char *VerifiedProgram = R"(
 
 /// Like VerifiedProgram, but the action carries an `enabled` clause: the
 /// differencing tier deliberately leaves enabled pairs to the bounded
-/// tiers (enabledness restricts which interleavings are reachable), so
-/// this spec still exercises the spec-eval memo that warm requests hit.
+/// tiers (enabledness restricts which interleavings are reachable), so a
+/// cold request runs a real bounded validity check.
 const char *MemoProgram = R"(
   resource Counter {
     state: int;
@@ -73,6 +75,16 @@ const char *RejectedProgram =
     "{ out := h; }";
 
 const char *ParseErrorProgram = "procedure main( {";
+
+/// The stable verdict-memo counters every Session request feeds.
+uint64_t verdictsComputed() {
+  return MetricsRegistry::global()
+      .counter("validity.verdict_memo.computed")
+      .value();
+}
+uint64_t verdictHits() {
+  return MetricsRegistry::global().counter("validity.verdict_memo.hits").value();
+}
 
 ServiceRequest verifyRequest(const char *Source, const char *Name) {
   ServiceRequest R;
@@ -102,24 +114,48 @@ TEST(SessionTest, VerifyReportMatchesOneShotDriverOutput) {
   EXPECT_EQ(Bad.Report, R.Diags.str("bad.hv") + "bad.hv: REJECTED\n");
 }
 
-TEST(SessionTest, WarmRequestsHitProgramAndSpecCaches) {
+TEST(SessionTest, WarmRequestsReplayProgramAndValidityVerdict) {
   Session S;
+  uint64_t Computed0 = verdictsComputed(), Hits0 = verdictHits();
   ServiceResponse Cold = S.handle(verifyRequest(MemoProgram, "a.hv"));
   EXPECT_FALSE(Cold.ProgramCacheHit);
   ASSERT_TRUE(Cold.Ok);
-  EXPECT_GT(Cold.Cache.misses(), 0u); // the cold pass populated the memo
+  EXPECT_EQ(verdictsComputed(), Computed0 + 1); // the cold pass proved it
+  EXPECT_EQ(verdictHits(), Hits0);
 
+  Driver D;
+  DriverResult R = D.verifySource(MemoProgram, "a.hv");
+  ASSERT_TRUE(R.Verified);
   ServiceResponse Warm = S.handle(verifyRequest(MemoProgram, "a.hv"));
   EXPECT_TRUE(Warm.ProgramCacheHit);
   EXPECT_EQ(Warm.Report, Cold.Report); // byte-identical warm vs cold
-  EXPECT_GT(Warm.Cache.hits(), 0u);    // and actually served from memo
+  EXPECT_EQ(Warm.Report, formatVerdictLine("a.hv", R.Verified));
+  // The one-shot driver above computed its own verdict; the warm request
+  // replayed the session's.
+  EXPECT_EQ(verdictsComputed(), Computed0 + 1);
+  EXPECT_EQ(verdictHits(), Hits0 + 1);
 
   SessionStats Stats = S.stats();
   EXPECT_EQ(Stats.Requests, 2u);
   EXPECT_EQ(Stats.ProgramCacheHits, 1u);
   EXPECT_EQ(Stats.ProgramCacheMisses, 1u);
   EXPECT_EQ(Stats.ProgramsCached, 1u);
-  EXPECT_GT(Stats.Spec.hits(), 0u);
+}
+
+TEST(SessionTest, EvictedProgramRecomputesItsVerdict) {
+  // The verdict memo lives in the program-cache entry: evicting the entry
+  // frees it, so daemon memory stays bounded by MaxCachedPrograms.
+  SessionOptions Opts;
+  Opts.MaxCachedPrograms = 1;
+  Session S(Opts);
+  ServiceResponse First = S.handle(verifyRequest(MemoProgram, "a.hv"));
+  ASSERT_TRUE(First.Ok);
+  S.handle(verifyRequest(VerifiedProgram, "b.hv")); // evicts a.hv
+  uint64_t Computed0 = verdictsComputed();
+  ServiceResponse Again = S.handle(verifyRequest(MemoProgram, "a.hv"));
+  EXPECT_FALSE(Again.ProgramCacheHit);
+  EXPECT_EQ(verdictsComputed(), Computed0 + 1);
+  EXPECT_EQ(Again.Report, First.Report);
 }
 
 TEST(SessionTest, ReportsIdenticalAtEveryJobCount) {
@@ -227,7 +263,7 @@ TEST(SessionTest, NiVerbMatchesDriverEmpiricalBlock) {
 
 TEST(SessionTest, WarmCertByteIdenticalToColdAndChecks) {
   // The warm-cache contract extends to certificates: a resubmitted source
-  // (warm Program + warm spec memo caches) must return the exact bytes the
+  // (warm Program + memoized verdict) must return the exact bytes the
   // cold request produced, at any job count.
   Session S;
   ServiceRequest R = verifyRequest(VerifiedProgram, "cert.hv");
@@ -290,8 +326,8 @@ TEST(SessionTest, ResetCachesForcesColdPath) {
 
 TEST(SessionTest, ResetUnderConcurrentLoadIsSafeAndDeterministic) {
   // `reset` may land while requests are in flight. Cached entries are
-  // shared_ptrs, so an in-flight request keeps its program (and memo
-  // caches) alive even after the map is cleared — verdicts and report
+  // shared_ptrs, so an in-flight request keeps its program (and verdict
+  // memo) alive even after the map is cleared — verdicts and report
   // bytes must be unaffected, only the cache temperature may change.
   Session S;
   ServiceResponse Reference = S.handle(verifyRequest(VerifiedProgram, "r.hv"));
@@ -340,10 +376,12 @@ TEST(SessionTest, MaxStepsBudgetTimesOutAndLeavesCachesWarm) {
   EXPECT_FALSE(Resp.Ok);
   EXPECT_EQ(Resp.Exit, 1);
 
-  // Caches untouched on timeout: the parsed program stays cached and an
-  // unbudgeted retry succeeds warm with the normal verdict.
+  // The parsed program stays cached, the cut-short verdict was not stored,
+  // and an unbudgeted retry computes the normal verdict warm.
+  uint64_t Computed0 = verdictsComputed();
   ServiceResponse Retry = S.handle(verifyRequest(MemoProgram, "b.hv"));
   EXPECT_TRUE(Retry.ProgramCacheHit);
+  EXPECT_EQ(verdictsComputed(), Computed0 + 1);
   EXPECT_FALSE(Retry.TimedOut);
   EXPECT_TRUE(Retry.Ok);
   EXPECT_EQ(Retry.Report, "b.hv: verified\n");
@@ -375,4 +413,47 @@ TEST(SessionTest, ValidityVerbHonorsBudget) {
   EXPECT_FALSE(Ok.TimedOut);
   EXPECT_TRUE(Ok.Ok);
   EXPECT_NE(Ok.Report.find("spec Counter: valid"), std::string::npos);
+}
+
+TEST(SessionTest, NestingLimitIsAParseErrorAndAtLimitVerifies) {
+  const unsigned Max = Parser::MaxNesting;
+  auto Main = [](const std::string &Body) {
+    return "procedure main(l: int) returns (out: int)\n"
+           "  requires low(l)\n  ensures low(out)\n{\n  " +
+           Body + "\n}\n";
+  };
+  // The statement, its right-hand side and each parenthesis open a level.
+  auto Parens = [&](unsigned N) {
+    return Main("out := " + std::string(N, '(') + "l" + std::string(N, ')') +
+                ";");
+  };
+  auto Ifs = [&](unsigned N) {
+    std::string Open, Close;
+    for (unsigned I = 0; I < N; ++I) {
+      Open += "if (l < 0) { ";
+      Close += " }";
+    }
+    return Main("out := l; " + Open + "out := l;" + Close);
+  };
+  Session S;
+  for (const std::string &At : {Parens(Max - 2), Ifs(Max - 2)}) {
+    ServiceRequest R = verifyRequest(At.c_str(), "at.hv");
+    R.Proc = "main";
+    ServiceResponse Ok = S.handle(R);
+    EXPECT_TRUE(Ok.Ok) << Ok.Report;
+    EXPECT_EQ(Ok.Report.rfind("at.hv: verified\n", 0), 0u) << Ok.Report;
+  }
+
+  const std::string Limit = ": error [parse]: nesting exceeds the limit of " +
+                            std::to_string(Max) + " levels\n";
+  for (const std::string &Over : {Parens(Max - 1), Parens(20000)}) {
+    ServiceResponse Bad = S.handle(verifyRequest(Over.c_str(), "over.hv"));
+    EXPECT_FALSE(Bad.Ok);
+    EXPECT_EQ(Bad.Exit, 1);
+    EXPECT_EQ(Bad.Report, "over.hv:5:" + std::to_string(Max + 9) + Limit +
+                              "over.hv: REJECTED\n");
+  }
+  ServiceResponse Bad = S.handle(verifyRequest(Ifs(5000).c_str(), "if.hv"));
+  EXPECT_EQ(Bad.Exit, 1);
+  EXPECT_NE(Bad.Report.find(Limit), std::string::npos);
 }

@@ -131,7 +131,6 @@ TEST_F(SpecVerdictMemoTest, ResultRelevantChangesRecompute) {
   // budget that never fires.
   VerifierConfig Same = Cfg;
   Same.Validity.Jobs = 3;
-  Same.Validity.Memoize = false;
   Same.Validity.Budget = std::make_shared<CheckBudget>(0, 0);
   EXPECT_TRUE(checkSpec(ForgetfulSpec, Same));
   EXPECT_EQ(computed(), 1u);

@@ -824,3 +824,17 @@ TEST(VerifierMoreTest, DeepFunctionChainsInlineCompletely) {
   expectVerifies(functionChain(40, "f40(h) - h"));
   expectRejected(functionChain(40, "f40(h)"), DiagCode::VerifyEntailment);
 }
+
+TEST(VerifierMoreTest, GuardTrueOnlyOverMathematicalIntegersRejected) {
+  // `h < h + 1` fails at h = 2^63 - 1, where h + 1 wraps. Over the
+  // integers the else branch would be dead and `out` constant; the
+  // verifier must not conclude that, so the program stays rejected.
+  expectRejected(R"(
+    procedure main(h: int) returns (out: int)
+      ensures low(out)
+    {
+      if (h < h + 1) { out := 0; } else { out := h; }
+    }
+  )",
+                 DiagCode::VerifyEntailment);
+}

@@ -94,9 +94,10 @@
 ///
 /// Serve subcommand: `hyperviper serve [options]` runs the persistent
 /// verification daemon (src/service/): newline-delimited JSON over TCP on
-/// 127.0.0.1, multiplexing requests onto the shared thread pool with warm
-/// program/spec-eval caches across requests. Responses are byte-identical
-/// to the one-shot CLI. See DESIGN.md §11 and `serve --help`.
+/// 127.0.0.1, multiplexing requests onto the shared thread pool with
+/// cached programs and their validity verdicts kept warm across requests.
+/// Responses are byte-identical to the one-shot CLI. See DESIGN.md §11 and
+/// `serve --help`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -761,24 +762,12 @@ int runVerify(int Argc, char **Argv) {
                     "analysis %.3fs\n",
                     R.TriageSkipped, R.Verification.Procs.size(),
                     R.AnalysisSeconds);
-      const CacheStats &C = R.Verification.SpecCache;
-      std::printf("  spec memo: %llu hits  %llu misses  %llu entries  "
-                  "%llu evictions\n",
-                  static_cast<unsigned long long>(C.hits()),
-                  static_cast<unsigned long long>(C.misses()),
-                  static_cast<unsigned long long>(C.Entries),
-                  static_cast<unsigned long long>(C.Evictions));
     }
     if (!NIProc.empty() && R.ParseOk) {
       NIReport Report = D.runEmpirical(R, NIProc);
       std::fputs(formatNIBlock(Report).c_str(), stdout);
       if (!Report.secure())
         Exit = 1;
-      else if (PrintMetrics)
-        std::printf("  ni memo: %llu hits  %llu misses  %llu entries\n",
-                    static_cast<unsigned long long>(Report.Cache.hits()),
-                    static_cast<unsigned long long>(Report.Cache.misses()),
-                    static_cast<unsigned long long>(Report.Cache.Entries));
     }
   }
   if (!Obs.finish())
