@@ -115,6 +115,9 @@ public:
   /// Executes the sweep. Stops at the first violation.
   NIReport run();
 
+  /// The last sweep's alpha/f_a memo (null before the first `run()`).
+  SpecCacheRegistry *specCaches() const { return SpecCaches.get(); }
+
 private:
   /// Runs every scheduler over each assignment of the batch; all low
   /// outputs must agree. Returns false when a violation was recorded.

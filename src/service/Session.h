@@ -21,8 +21,10 @@
 /// response is byte-identical cold or warm, at any `Jobs`, under any
 /// interleaving of concurrent requests (chunk outcomes are functions of
 /// global item indices, never of the executing worker; see DESIGN §11).
-/// Timed-out verdicts are never stored, and a budgeted request whose spec
-/// is being computed by another request waits for that computation.
+/// `verify`, `verify` with EmitCert and `validity` share one verdict per
+/// spec. Timed-out verdicts are never stored, and a budgeted request whose
+/// spec is being computed by another request computes it privately under
+/// its own budget instead of waiting.
 ///
 /// Thread model: every method is safe to call from multiple request
 /// threads concurrently. Requests multiplex onto the one shared pool;

@@ -8,7 +8,9 @@
 /// A thread-safe map from a content key to a value that is computed at most
 /// once per key. Concurrent misses on one key wait for a single
 /// computation, so the number of computations (and every counter they
-/// bump) does not depend on thread interleaving. The validity-verdict memo
+/// bump) does not depend on thread interleaving. Only callers that opt out
+/// of waiting (budgeted validity checks) may add a private computation
+/// whose count depends on timing. The validity-verdict memo
 /// (verifier/SpecVerdictMemo.h) and the certificate checker's spec-unit
 /// memo (cert/Check.h) are both instances.
 ///
@@ -38,9 +40,13 @@ public:
       : HitsMetric(HitsMetric), ComputedMetric(ComputedMetric), Keep(Keep) {}
 
   /// Returns the value stored under \p Key, or runs \p Compute, stores its
-  /// result, and returns it.
+  /// result, and returns it. When \p Key is in flight elsewhere the caller
+  /// waits for that computation, unless \p MayWait is false: then it runs
+  /// \p Compute privately and stores nothing. A caller with its own budget
+  /// passes false, so another caller's unbounded work cannot hold it.
   std::shared_ptr<const V> getOrCompute(const std::string &Key,
-                                        const std::function<V()> &Compute) {
+                                        const std::function<V()> &Compute,
+                                        bool MayWait = true) {
     MetricsRegistry &M = MetricsRegistry::global();
     bool Owner = false;
     {
@@ -56,7 +62,7 @@ public:
           M.counter(HitsMetric).add(1);
           return It->second;
         }
-        if (InCompute)
+        if (InCompute || !MayWait)
           break;
         // In flight elsewhere. If that computation stores nothing, one of
         // the waiters becomes the next owner.

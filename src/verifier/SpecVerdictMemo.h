@@ -40,7 +40,8 @@ struct SpecVerdict {
   /// is handed back to the caller that computed it but never stored.
   bool TimedOut = false;
   std::optional<ValidityCounterexample> CE;
-  /// The finished certificate unit (only when certificates are emitted).
+  /// The finished certificate unit. Every memoized verdict carries one,
+  /// whether or not its first caller asked for a certificate.
   std::optional<cert::CertSpecUnit> Unit;
 };
 

@@ -54,9 +54,10 @@ struct VerifierConfig {
   /// set and result-relevant configuration the memo has not seen; a hit
   /// replays the stored verdict, counterexample and certificate unit, with
   /// diagnostics placed at the current declaration. Reports are identical
-  /// with or without it. Null (the CLI and direct-Verifier default) checks
-  /// every spec afresh; the fuzz oracle and each serve program-cache entry
-  /// set one.
+  /// with or without it. A memoized check builds the certificate unit even
+  /// without EmitCert, so requests with and without certificates share one
+  /// verdict. Null (the CLI and direct-Verifier default) checks every spec
+  /// afresh; the fuzz oracle and each serve program-cache entry set one.
   std::shared_ptr<SpecVerdictMemo> VerdictMemo;
   /// Record proof certificates: per-spec validity evidence and per-proc
   /// entailment derivations (cert/Cert.h), re-checkable by the independent

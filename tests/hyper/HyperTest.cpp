@@ -221,6 +221,39 @@ TEST(HyperTest, ReportIsIdenticalAcrossJobCounts) {
   }
 }
 
+TEST(HyperTest, SweepEvaluatesSpecsThroughItsMemo) {
+  // Every trial's interpreter reads alpha/f_a through the sweep's registry.
+  Program P = parseChecked(R"(
+    resource Cell {
+      state: int;
+      alpha(v) = v;
+      unique action AddL(a: unit) { apply(v, a) = v + 3; }
+      unique action AddR(a: unit) { apply(v, a) = v + 4; }
+    }
+    procedure main(h: int) returns (s: int)
+      ensures low(s)
+    {
+      share r: Cell := 0;
+      par {
+        atomic r { perform r.AddL(unit); }
+      } and {
+        atomic r { perform r.AddR(unit); }
+      }
+      s := unshare r;
+    }
+  )");
+  NIConfig Cfg;
+  Cfg.InputScope.IntHi = 4;
+  Cfg.Trials = 3;
+  NonInterferenceHarness H(P, "main", Cfg);
+  EXPECT_EQ(H.specCaches(), nullptr);
+  EXPECT_TRUE(H.run().secure());
+  ASSERT_NE(H.specCaches(), nullptr);
+  CacheStats S = H.specCaches()->cacheFor(&P.Specs.front())->stats();
+  EXPECT_GT(S.hits() + S.misses(), 0u)
+      << "the sweep's runs never consulted its memo";
+}
+
 //===----------------------------------------------------------------------===//
 // Delimited release: release logs are keyed by declassify site
 //===----------------------------------------------------------------------===//

@@ -142,6 +142,26 @@ TEST(SessionTest, WarmRequestsReplayProgramAndValidityVerdict) {
   EXPECT_EQ(Stats.ProgramsCached, 1u);
 }
 
+TEST(SessionTest, VerifyCertAndValidityVerbsShareOneVerdict) {
+  // The verdict key leaves out EmitCert, so the three verbs the serve
+  // stream sends for one source prove its spec once between them.
+  Session S;
+  uint64_t Computed0 = verdictsComputed(), Hits0 = verdictHits();
+  ASSERT_TRUE(S.handle(verifyRequest(MemoProgram, "a.hv")).Ok);
+  ServiceRequest C = verifyRequest(MemoProgram, "a.hv");
+  C.EmitCert = true;
+  ServiceResponse Cert = S.handle(C);
+  ServiceRequest V = verifyRequest(MemoProgram, "a.hv");
+  V.V = ServiceRequest::Verb::Validity;
+  EXPECT_TRUE(S.handle(V).Ok);
+  EXPECT_EQ(verdictsComputed(), Computed0 + 1);
+  EXPECT_EQ(verdictHits(), Hits0 + 2);
+
+  DriverOptions O;
+  O.Verifier.EmitCert = true;
+  EXPECT_EQ(Cert.Cert, Driver(O).verifySource(MemoProgram, "a.hv").Cert);
+}
+
 TEST(SessionTest, EvictedProgramRecomputesItsVerdict) {
   // The verdict memo lives in the program-cache entry: evicting the entry
   // frees it, so daemon memory stays bounded by MaxCachedPrograms.

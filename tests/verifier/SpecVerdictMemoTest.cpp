@@ -8,7 +8,8 @@
 /// The content-keyed validity-verdict memo: a repeated spec is proved once
 /// and replays the same verdict and certificate; every result-relevant
 /// input is part of the key; diagnostics follow the current declaration;
-/// budget timeouts are never stored; concurrent misses compute once.
+/// budget timeouts are never stored; concurrent misses compute once, and a
+/// caller that may not wait computes privately.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -242,4 +245,48 @@ TEST_F(SpecVerdictMemoTest, ConcurrentMissesComputeOnce) {
     EXPECT_EQ(V, Got.front());
     EXPECT_TRUE(V->Valid);
   }
+}
+
+TEST_F(SpecVerdictMemoTest, CallerThatMayNotWaitComputesPrivately) {
+  // A budgeted caller must not wait on another caller's computation: it
+  // computes on its own and stores nothing. The owner's value is stored.
+  SpecVerdictMemo Memo;
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool OwnerStarted = false, Release = false;
+  std::thread Owner([&] {
+    Memo.getOrCompute("k", [&] {
+      std::unique_lock<std::mutex> Lock(Mu);
+      OwnerStarted = true;
+      Cv.notify_all();
+      // Bounded, so a memo that made the caller below wait shows up as a
+      // wrong value rather than a hang.
+      Cv.wait_for(Lock, std::chrono::seconds(10), [&] { return Release; });
+      SpecVerdict V;
+      V.Valid = true;
+      return V;
+    });
+  });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return OwnerStarted; });
+  }
+
+  std::shared_ptr<const SpecVerdict> Private = Memo.getOrCompute(
+      "k", [] { return SpecVerdict(); }, /*MayWait=*/false);
+  ASSERT_TRUE(Private);
+  EXPECT_FALSE(Private->Valid);
+  EXPECT_EQ(computed(), 2u);
+
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Release = true;
+  }
+  Cv.notify_all();
+  Owner.join();
+  std::shared_ptr<const SpecVerdict> Stored =
+      Memo.getOrCompute("k", [] { return SpecVerdict(); });
+  EXPECT_TRUE(Stored->Valid);
+  EXPECT_EQ(computed(), 2u);
+  EXPECT_EQ(hits(), 1u);
 }
