@@ -120,7 +120,7 @@ int main(int Argc, char **Argv) {
     NIConfig Cfg;
     Cfg.TrialGen = C.Gen;
     Cfg.InputScope.IntHi = C.HighMax;
-    NIReport Report = D.runEmpirical(R, "main", Cfg);
+    NIReport Report = D.runEmpirical(*R.Prog, "main", Cfg);
     TotalWall += Report.WallSeconds;
     TotalCpu += Report.CpuSeconds;
     bool AsExpected = Report.secure() == C.ExpectSecure;

@@ -68,7 +68,7 @@ int main() {
   //    answer.
   NIConfig Cfg;
   Cfg.Trials = 4;
-  NIReport Report = D.runEmpirical(R, "main", Cfg);
+  NIReport Report = D.runEmpirical(*R.Prog, "main", Cfg);
   std::printf("empirical: %llu runs, %llu pairs compared -> %s\n",
               static_cast<unsigned long long>(Report.Runs),
               static_cast<unsigned long long>(Report.PairsCompared),

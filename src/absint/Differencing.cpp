@@ -354,10 +354,13 @@ struct ProveOut {
   std::unique_ptr<SplitNode> Tree;
 };
 
+/// Search budgets; AbsOptions says why they are not options.
+constexpr unsigned MaxSplitDepth = 8;
+constexpr uint64_t MaxSplits = 4096; ///< global split budget per spec
+
 class Prover {
 public:
-  Prover(TermFactory &F, const AbsOptions &O, SpecAbsResult &R)
-      : F(F), O(O), Res(R) {}
+  Prover(TermFactory &F, SpecAbsResult &R) : F(F), Res(R) {}
 
   ProveOut prove(const ATerm *L, const ATerm *R, const FactCtx &Ctx,
                  unsigned Depth) {
@@ -367,7 +370,7 @@ public:
       Out.Tree = leafNode(true, true);
       return Out;
     }
-    Normalizer N(F, Ctx, O.Limits);
+    Normalizer N(F, Ctx);
     const ATerm *NL = N.normalize(L);
     const ATerm *NR = NL ? N.normalize(R) : nullptr;
     Res.RewriteSteps += N.steps();
@@ -384,7 +387,7 @@ public:
     if (Depth > 0) {
       unsigned Tried = 0;
       for (const ATerm *G : N.blockedGuards()) {
-        if (Tried >= MaxGuardsPerNode || Res.Splits >= O.MaxSplits)
+        if (Tried >= MaxGuardsPerNode || Res.Splits >= MaxSplits)
           break;
         ++Tried;
         ++Res.Splits;
@@ -459,7 +462,6 @@ private:
   static constexpr unsigned MaxGuardsPerNode = 4;
 
   TermFactory &F;
-  const AbsOptions &O;
   SpecAbsResult &Res;
 };
 
@@ -517,7 +519,7 @@ SpecAbsResult commcsl::absint::analyzeSpec(const ResourceSpecDecl &Spec,
     if (!AlphaS)
       return R;
     FactCtx Empty(F);
-    Normalizer N(F, Empty, Opts.Limits);
+    Normalizer N(F, Empty);
     NAlpha = N.normalize(AlphaS);
     R.RewriteSteps += N.steps();
     if (!NAlpha)
@@ -534,7 +536,7 @@ SpecAbsResult commcsl::absint::analyzeSpec(const ResourceSpecDecl &Spec,
     if (mentionsSym(R.Comps[I], stateSymName()))
       SlotMap.emplace(R.Comps[I], F.sym(slotSymName(I)));
 
-  Prover P(F, Opts, R);
+  Prover P(F, R);
   FactCtx Empty(F);
   const ATerm *Arg = F.sym(argSymName());
 
@@ -551,7 +553,7 @@ SpecAbsResult commcsl::absint::analyzeSpec(const ResourceSpecDecl &Spec,
       const std::map<std::string, const ATerm *> AEnv{{Spec.AlphaParam, FA}};
       const ATerm *AFA = translateExpr(F, *Spec.Alpha, AEnv, Prog);
       if (AFA) {
-        Normalizer N(F, Empty, Opts.Limits);
+        Normalizer N(F, Empty);
         if (const ATerm *NA = N.normalize(AFA)) {
           const ATerm *U = substTerm(F, NA, SlotMap);
           if (!mentionsSym(U, stateSymName()))
@@ -575,7 +577,7 @@ SpecAbsResult commcsl::absint::analyzeSpec(const ResourceSpecDecl &Spec,
         } else {
           const ATerm *L = substTerm(F, AA.U, {{Arg, X}});
           const ATerm *Rt = substTerm(F, AA.U, {{Arg, X2}});
-          ProveOut PO = P.prove(L, Rt, Ctx, Opts.MaxSplitDepth);
+          ProveOut PO = P.prove(L, Rt, Ctx, MaxSplitDepth);
           AA.Pre = PO.St;
           AA.PreTree = std::move(PO.Tree);
         }
@@ -613,7 +615,7 @@ SpecAbsResult commcsl::absint::analyzeSpec(const ResourceSpecDecl &Spec,
               PA.Comm = ObStatus::Proved;
               PA.Tree = leafNode(true, true);
             } else {
-              ProveOut PO = P.prove(L, Rt, Ctx, Opts.MaxSplitDepth);
+              ProveOut PO = P.prove(L, Rt, Ctx, MaxSplitDepth);
               PA.Comm = PO.St;
               PA.Tree = std::move(PO.Tree);
             }

@@ -88,10 +88,11 @@ struct PairAbs {
   std::unique_ptr<SplitNode> Tree;
 };
 
+/// The tier's search budgets (split depth 8, 4096 splits per spec, the
+/// default NormLimits) are fixed constants: the independent checker
+/// (cert/AbsCheck.cpp) replays templates under the default NormLimits, so a
+/// per-run setting could only make the verifier and the checker disagree.
 struct AbsOptions {
-  unsigned MaxSplitDepth = 8;
-  uint64_t MaxSplits = 4096; ///< global split budget per spec
-  NormLimits Limits;
   /// Fault injection for certificate tests: records a corrupted update
   /// template for the first action *after* proving with the real one, so
   /// the emitted certificate is unsound and the checker must reject it.

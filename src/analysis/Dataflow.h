@@ -7,8 +7,8 @@
 /// \file
 /// A generic monotone dataflow framework over `analysis::CFG`: a worklist
 /// solver parameterised by a problem type providing a join-semilattice of
-/// states and a per-node transfer function. Both forward and backward
-/// direction are supported. The solver is deterministic: the worklist is an
+/// states and a per-node transfer function. Problems flow forward, from the
+/// entry along successor edges. The solver is deterministic: the worklist is an
 /// ordered set of node ids, so the iteration order — and therefore any
 /// observable side effect of the transfer functions — depends only on the
 /// graph, never on timing.
@@ -16,7 +16,7 @@
 /// A problem type `P` must provide:
 ///
 ///   using State = ...;                 // copyable lattice element
-///   State boundary(const CFG &G);      // initial state at entry (or exit)
+///   State boundary(const CFG &G);      // initial state at entry
 ///   State bottom(const CFG &G);        // least element
 ///   // Joins Src into Dst; returns true iff Dst changed.
 ///   bool join(State &Dst, const State &Src);
@@ -39,12 +39,8 @@
 
 namespace commcsl {
 
-enum class DataflowDirection : uint8_t { Forward, Backward };
-
 /// Fixpoint result: one pre- and one post-state per node, indexed by node
-/// id. For a backward problem, "pre" is the state *after* the node in
-/// program order and "post" the state before it — i.e. pre/post are always
-/// relative to the flow direction.
+/// id.
 template <typename P> struct DataflowResult {
   std::vector<typename P::State> In;
   std::vector<typename P::State> Out;
@@ -52,21 +48,18 @@ template <typename P> struct DataflowResult {
 
 /// Runs \p Problem over \p G to fixpoint and returns the per-node states.
 template <typename P>
-DataflowResult<P> solveDataflow(
-    const CFG &G, P &Problem,
-    DataflowDirection Direction = DataflowDirection::Forward) {
+DataflowResult<P> solveDataflow(const CFG &G, P &Problem) {
   const unsigned N = G.size();
   DataflowResult<P> R;
   R.In.assign(N, Problem.bottom(G));
   R.Out.assign(N, Problem.bottom(G));
 
-  const bool Fwd = Direction == DataflowDirection::Forward;
-  const unsigned Boundary = Fwd ? G.entry() : G.exit();
+  const unsigned Boundary = G.entry();
   R.In[Boundary] = Problem.boundary(G);
 
   // Ordered worklist: lowest node id first. Node ids are assigned in
-  // syntactic order, which for a forward problem approximates reverse
-  // post-order, and the ordering makes every run identical.
+  // syntactic order, which approximates reverse post-order, and the
+  // ordering makes every run identical.
   std::set<unsigned> Worklist;
   for (unsigned I = 0; I < N; ++I)
     Worklist.insert(I);
@@ -77,18 +70,14 @@ DataflowResult<P> solveDataflow(
 
     if (Id != Boundary) {
       typename P::State In = Problem.bottom(G);
-      const std::vector<unsigned> &Preds =
-          Fwd ? G.node(Id).Preds : G.node(Id).Succs;
-      for (unsigned Pr : Preds)
+      for (unsigned Pr : G.node(Id).Preds)
         Problem.join(In, R.Out[Pr]);
       R.In[Id] = std::move(In);
     }
 
     typename P::State Out = Problem.transfer(G, Id, R.In[Id]);
     if (Problem.join(R.Out[Id], Out)) {
-      const std::vector<unsigned> &Succs =
-          Fwd ? G.node(Id).Succs : G.node(Id).Preds;
-      for (unsigned S : Succs)
+      for (unsigned S : G.node(Id).Succs)
         Worklist.insert(S);
     }
   }

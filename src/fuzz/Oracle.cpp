@@ -323,7 +323,7 @@ OracleResult DifferentialOracle::evaluate(const std::string &Source,
   NIConfig NC = Config.NI;
   NC.Seed = deriveSeed(Seed, 0x4E495F53ull);
   NC.Jobs = 1;
-  NIReport NI = D.runEmpirical(DR, Config.ProcName, NC);
+  NIReport NI = D.runEmpirical(*DR.Prog, Config.ProcName, NC);
   V.NIRan = true;
   V.NISecure = NI.secure();
   if (NI.Violation)

@@ -8,8 +8,7 @@
 
 #include "analysis/Analysis.h"
 #include "analysis/Lint.h"
-#include "lang/TypeChecker.h"
-#include "parser/Parser.h"
+#include "hyperviper/Driver.h"
 #include "support/ThreadPool.h"
 #include "support/trace/Metrics.h"
 #include "support/trace/Stopwatch.h"
@@ -22,46 +21,25 @@
 
 using namespace commcsl;
 
-namespace {
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-/// Expands one input into (display, path) pairs. Directories recurse,
-/// sorted by relative path so the report order is stable.
-void expandInput(const std::string &Input,
-                 std::vector<std::pair<std::string, std::string>> &Out) {
-  namespace fs = std::filesystem;
-  std::error_code EC;
-  if (fs::is_directory(Input, EC)) {
-    std::vector<std::pair<std::string, std::string>> Found;
-    for (const auto &DE : fs::recursive_directory_iterator(Input, EC)) {
-      if (!DE.is_regular_file() || DE.path().extension() != ".hv")
-        continue;
-      std::string Rel = fs::relative(DE.path(), Input).generic_string();
-      Found.emplace_back(Rel, DE.path().string());
-    }
-    std::sort(Found.begin(), Found.end());
-    Out.insert(Out.end(), Found.begin(), Found.end());
-  } else {
-    Out.emplace_back(Input, Input);
-  }
-}
-
-} // namespace
-
 std::vector<std::pair<std::string, std::string>>
 commcsl::expandHvInputs(const std::vector<std::string> &Inputs) {
+  namespace fs = std::filesystem;
   std::vector<std::pair<std::string, std::string>> Paths;
-  for (const std::string &Input : Inputs)
-    expandInput(Input, Paths);
+  for (const std::string &Input : Inputs) {
+    std::error_code EC;
+    if (!fs::is_directory(Input, EC)) {
+      Paths.emplace_back(Input, Input);
+      continue;
+    }
+    // A directory recurses, sorted by relative path so the report order is
+    // stable.
+    const size_t First = Paths.size();
+    for (const auto &DE : fs::recursive_directory_iterator(Input, EC))
+      if (DE.is_regular_file() && DE.path().extension() == ".hv")
+        Paths.emplace_back(fs::relative(DE.path(), Input).generic_string(),
+                           DE.path().string());
+    std::sort(Paths.begin() + First, Paths.end());
+  }
   return Paths;
 }
 
@@ -70,29 +48,27 @@ AnalyzeFileResult commcsl::analyzeSourceBlock(const std::string &Source,
   AnalyzeFileResult R;
   R.Display = Display;
 
-  DiagnosticEngine Diags;
-  Program Prog = Parser::parse(Source, Diags);
-  if (Diags.hasErrors()) {
-    R.Verdict = "parse-error";
-    R.Block = "verdict: parse-error\n" + Diags.strWithSnippets(Source);
+  ParsedUnit U = Driver().parseAndCheck(Source, Display);
+  if (U.Ok) {
+    ProgramStaticResult A = analyzeProgram(*U.Prog);
+    R.Verdict = A.ProvablyLow ? "provably-low" : "candidate-leak";
+    R.Block =
+        "verdict: " + R.Verdict + "\n" + A.Diags.strWithSnippets(Source);
     return R;
   }
-
-  TypeChecker Checker(Prog, Diags);
-  Checker.check();
-  if (Diags.hasErrors()) {
+  // The type checker runs only on a parsed program and reports no lexer
+  // or parser codes, so those codes tell the two failures apart.
+  DiagnosticEngine Diags = U.Diags;
+  if (Diags.hasErrorWithCode(DiagCode::LexError) ||
+      Diags.hasErrorWithCode(DiagCode::ParseError)) {
+    R.Verdict = "parse-error";
+  } else {
     // Ill-typed programs still get the AST/CFG lints (they need no types);
     // the taint analysis is skipped — its levels assume resolved names.
-    lintProgram(Prog, Diags);
+    lintProgram(*U.Prog, Diags);
     R.Verdict = "type-error";
-    R.Block = "verdict: type-error\n" + Diags.strWithSnippets(Source);
-    return R;
   }
-
-  ProgramStaticResult A = analyzeProgram(Prog);
-  R.Verdict = A.ProvablyLow ? "provably-low" : "candidate-leak";
-  R.Block =
-      "verdict: " + R.Verdict + "\n" + A.Diags.strWithSnippets(Source);
+  R.Block = "verdict: " + R.Verdict + "\n" + Diags.strWithSnippets(Source);
   return R;
 }
 
@@ -135,8 +111,8 @@ AnalyzeResult commcsl::runAnalyze(const std::vector<std::string> &Inputs,
           for (uint64_t I = Begin; I < End; ++I) {
             TraceSpan Span("analyze",
                            [&] { return "file " + Paths[I].first; });
-            std::string Source;
-            if (!readFile(Paths[I].second, Source)) {
+            std::optional<std::string> Source = readFile(Paths[I].second);
+            if (!Source) {
               AnalyzeFileResult F;
               F.Display = Paths[I].first;
               F.Path = Paths[I].second;
@@ -145,7 +121,7 @@ AnalyzeResult commcsl::runAnalyze(const std::vector<std::string> &Inputs,
               R.Files[I] = std::move(F);
               continue;
             }
-            AnalyzeFileResult F = analyzeSourceBlock(Source, Paths[I].first);
+            AnalyzeFileResult F = analyzeSourceBlock(*Source, Paths[I].first);
             F.Path = Paths[I].second;
             R.Files[I] = std::move(F);
           }
@@ -181,9 +157,8 @@ AnalyzeResult commcsl::runAnalyze(const std::vector<std::string> &Inputs,
   }
   if (Options.Check) {
     for (AnalyzeFileResult &F : R.Files) {
-      std::string Expected;
-      F.SidecarOk =
-          readFile(F.Path + ".analysis", Expected) && F.Block == Expected;
+      std::optional<std::string> Expected = readFile(F.Path + ".analysis");
+      F.SidecarOk = Expected && F.Block == *Expected;
       R.Ok &= F.SidecarOk;
     }
   }

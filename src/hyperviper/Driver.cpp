@@ -128,6 +128,13 @@ DriverResult Driver::verifySource(const std::string &Source,
   return verifyParsed(parseAndCheck(Source, Name));
 }
 
+VerifierConfig Driver::verifierConfig() const {
+  VerifierConfig VC = Options.Verifier;
+  if (VC.Validity.Jobs == 0)
+    VC.Validity.Jobs = Options.Jobs;
+  return VC;
+}
+
 DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
   DriverResult R;
   R.Name = Unit.Name;
@@ -144,49 +151,10 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
     return R;
   }
 
-  VerifierConfig VC = Options.Verifier;
-  if (VC.Validity.Jobs == 0)
-    VC.Validity.Jobs = Options.Jobs;
-  unsigned Jobs = ThreadPool::effectiveJobs(Options.Jobs);
-  const bool EmitCert = VC.EmitCert || VC.ForgeAcceptAll;
-  // A certificate covers every procedure, so the triage fast path (which
-  // skips relational proofs, hence records no derivations) is disabled.
-  const bool Triage = Options.Triage && !EmitCert;
-
-  // Phase: spec validity. Resource specifications are independent of each
-  // other, so they are checked concurrently; each task collects its
-  // diagnostics privately and they are merged back in declaration order, so
-  // output is identical at any job count.
   Stopwatch T1;
   bool SpecsOk = true;
-  if (!VC.SkipValidityCheck && !R.Prog->Specs.empty()) {
-    TraceSpan Phase("driver", "validity");
-    struct SpecOutcome {
-      bool Ok = true;
-      DiagnosticEngine Diags;
-      double Seconds = 0;
-      std::optional<cert::CertSpecUnit> Unit;
-    };
-    std::vector<SpecOutcome> Outcomes(R.Prog->Specs.size());
-    ThreadPool::shared().parallelForChunks(
-        R.Prog->Specs.size(), Jobs,
-        [&](uint64_t Begin, uint64_t End, unsigned) {
-          for (uint64_t I = Begin; I < End; ++I) {
-            TraceSpan Span("validity", [&] {
-              return "spec " + R.Prog->Specs[I].Name;
-            });
-            Stopwatch S0;
-            Verifier SpecV(*R.Prog, Outcomes[I].Diags, VC);
-            Outcomes[I].Ok = SpecV.verifySpec(R.Prog->Specs[I]);
-            Outcomes[I].Seconds = S0.seconds();
-            if (EmitCert) {
-              auto UIt = SpecV.specUnits().find(R.Prog->Specs[I].Name);
-              if (UIt != SpecV.specUnits().end())
-                Outcomes[I].Unit = UIt->second;
-            }
-          }
-        });
-    for (SpecOutcome &Out : Outcomes) {
+  if (!Options.Verifier.SkipValidityCheck) {
+    for (SpecOutcome &Out : checkSpecs(*R.Prog)) {
       ++R.Verification.NumSpecsChecked;
       SpecsOk &= Out.Ok;
       R.Diags.append(Out.Diags);
@@ -197,65 +165,14 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
   }
   R.ValiditySeconds = T1.seconds();
 
-  // Phase: procedure verification, likewise one independent task per
-  // procedure with ordered diagnostic merge.
   Stopwatch T2;
-  bool ProcsOk = true;
-  if (!R.Prog->Procs.empty()) {
-    TraceSpan Phase("driver", "verify");
-    struct ProcOutcome {
-      ProcVerdict Verdict;
-      DiagnosticEngine Diags;
-      double Seconds = 0;
-      double AnalysisSeconds = 0;
-    };
-    std::vector<ProcOutcome> Outcomes(R.Prog->Procs.size());
-    ThreadPool::shared().parallelForChunks(
-        R.Prog->Procs.size(), Jobs,
-        [&](uint64_t Begin, uint64_t End, unsigned) {
-          for (uint64_t I = Begin; I < End; ++I) {
-            const ProcDecl &Proc = R.Prog->Procs[I];
-            TraceSpan Span("verify",
-                           [&] { return "proc " + Proc.Name; });
-            if (Triage) {
-              // Fast path: a strict (verifier-approximating) taint proof
-              // subsumes the relational proof on the triage fragment.
-              TraceSpan TriageSpan("verify", "triage");
-              Stopwatch A0;
-              TaintConfig TC;
-              TC.VerifierApprox = true;
-              ProcTaintResult T =
-                  analyzeProcTaint(*R.Prog, Proc, TC, nullptr);
-              Outcomes[I].AnalysisSeconds = A0.seconds();
-              if (T.Eligible && T.ProvablyLow) {
-                Outcomes[I].Verdict.Proc = Proc.Name;
-                Outcomes[I].Verdict.Ok = true;
-                Outcomes[I].Verdict.SkippedByTriage = true;
-                traceInstant("verify", "triage-skip", Proc.Name);
-                continue;
-              }
-            }
-            Stopwatch P0;
-            Verifier ProcV(*R.Prog, Outcomes[I].Diags, VC);
-            Outcomes[I].Verdict = ProcV.verifyProc(Proc);
-            Outcomes[I].Seconds = P0.seconds();
-          }
-        });
-    for (ProcOutcome &Out : Outcomes) {
-      ProcsOk &= Out.Verdict.Ok;
-      R.Diags.append(Out.Diags);
-      R.VerifyCpuSeconds += Out.Seconds;
-      R.AnalysisSeconds += Out.AnalysisSeconds;
-      R.TriageSkipped += Out.Verdict.SkippedByTriage ? 1 : 0;
-      R.Verification.Procs.push_back(std::move(Out.Verdict));
-    }
-  }
+  bool ProcsOk = verifyProcs(R);
   R.VerifySeconds = T2.seconds();
 
   R.Verification.Ok = SpecsOk && ProcsOk;
   R.Verified = R.Verification.Ok;
 
-  if (EmitCert) {
+  if (Options.Verifier.EmitCert || Options.Verifier.ForgeAcceptAll) {
     cert::Certificate C;
     C.ProgramName = R.Name;
     C.ProgramDigest = cert::fnv64(R.Prog->str());
@@ -271,27 +188,127 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
   return R;
 }
 
-DriverResult Driver::verifyFile(const std::string &Path) {
+std::vector<SpecOutcome> Driver::checkSpecs(const Program &Prog) {
+  std::vector<SpecOutcome> Outcomes(Prog.Specs.size());
+  if (Outcomes.empty())
+    return Outcomes;
+  const VerifierConfig VC = verifierConfig();
+  TraceSpan Phase("driver", "validity");
+  ThreadPool::shared().parallelForChunks(
+      Prog.Specs.size(), ThreadPool::effectiveJobs(Options.Jobs),
+      [&](uint64_t Begin, uint64_t End, unsigned) {
+        for (uint64_t I = Begin; I < End; ++I) {
+          const ResourceSpecDecl &Spec = Prog.Specs[I];
+          TraceSpan Span("validity", [&] { return "spec " + Spec.Name; });
+          Stopwatch S0;
+          Outcomes[I].Ok = Verifier(Prog, Outcomes[I].Diags, VC)
+                               .verifySpec(Spec, &Outcomes[I].Unit);
+          Outcomes[I].Seconds = S0.seconds();
+        }
+      });
+  return Outcomes;
+}
+
+bool Driver::verifyProcs(DriverResult &R) {
+  const Program &Prog = *R.Prog;
+  if (Prog.Procs.empty())
+    return true;
+  const VerifierConfig VC = verifierConfig();
+  // A certificate covers every procedure, so the triage fast path (which
+  // skips relational proofs, hence records no derivations) is disabled.
+  const bool Triage =
+      Options.Triage && !(VC.EmitCert || VC.ForgeAcceptAll);
+  TraceSpan Phase("driver", "verify");
+  struct ProcOutcome {
+    ProcVerdict Verdict;
+    DiagnosticEngine Diags;
+    double Seconds = 0;
+    double AnalysisSeconds = 0;
+  };
+  std::vector<ProcOutcome> Outcomes(Prog.Procs.size());
+  ThreadPool::shared().parallelForChunks(
+      Prog.Procs.size(), ThreadPool::effectiveJobs(Options.Jobs),
+      [&](uint64_t Begin, uint64_t End, unsigned) {
+        for (uint64_t I = Begin; I < End; ++I) {
+          const ProcDecl &Proc = Prog.Procs[I];
+          TraceSpan Span("verify", [&] { return "proc " + Proc.Name; });
+          if (Triage) {
+            // Fast path: a strict (verifier-approximating) taint proof
+            // subsumes the relational proof on the triage fragment.
+            TraceSpan TriageSpan("verify", "triage");
+            Stopwatch A0;
+            TaintConfig TC;
+            TC.VerifierApprox = true;
+            ProcTaintResult T = analyzeProcTaint(Prog, Proc, TC, nullptr);
+            Outcomes[I].AnalysisSeconds = A0.seconds();
+            if (T.Eligible && T.ProvablyLow) {
+              Outcomes[I].Verdict.Proc = Proc.Name;
+              Outcomes[I].Verdict.Ok = true;
+              Outcomes[I].Verdict.SkippedByTriage = true;
+              traceInstant("verify", "triage-skip", Proc.Name);
+              continue;
+            }
+          }
+          Stopwatch P0;
+          Outcomes[I].Verdict =
+              Verifier(Prog, Outcomes[I].Diags, VC).verifyProc(Proc);
+          Outcomes[I].Seconds = P0.seconds();
+        }
+      });
+  bool ProcsOk = true;
+  for (ProcOutcome &Out : Outcomes) {
+    ProcsOk &= Out.Verdict.Ok;
+    R.Diags.append(Out.Diags);
+    R.VerifyCpuSeconds += Out.Seconds;
+    R.AnalysisSeconds += Out.AnalysisSeconds;
+    R.TriageSkipped += Out.Verdict.SkippedByTriage ? 1 : 0;
+    R.Verification.Procs.push_back(std::move(Out.Verdict));
+  }
+  return ProcsOk;
+}
+
+std::optional<std::string> commcsl::readFile(const std::string &Path) {
   std::ifstream In(Path);
-  if (!In) {
+  if (!In)
+    return std::nullopt;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+DriverResult Driver::verifyFile(const std::string &Path) {
+  std::optional<std::string> Source = readFile(Path);
+  if (!Source) {
     DriverResult R;
     R.Name = Path;
     R.Diags.error(DiagCode::ParseError, SourceLoc(),
                   "cannot open file '" + Path + "'");
     return R;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return verifySource(SS.str(), Path);
+  return verifySource(*Source, Path);
 }
 
-NIReport Driver::runEmpirical(const DriverResult &Result,
+NIReport Driver::runEmpirical(const Program &Prog,
                               const std::string &ProcName, NIConfig Config) {
-  assert(Result.Prog && Result.ParseOk && "empirical run needs a program");
   if (Config.Jobs == 0)
     Config.Jobs = Options.Jobs;
-  NonInterferenceHarness Harness(*Result.Prog, ProcName, Config);
-  return Harness.run();
+  return NonInterferenceHarness(Prog, ProcName, Config).run();
+}
+
+VerifyVerbOutput Driver::renderVerify(const DriverResult &R,
+                                      const std::string &Name,
+                                      const std::string &NIProc) {
+  VerifyVerbOutput Out;
+  if (!R.Verified)
+    Out.Diagnostics = R.Diags.str(Name);
+  Out.VerdictLine = formatVerdictLine(Name, R.Verified);
+  Out.Ok = R.Verified;
+  if (!NIProc.empty() && R.ParseOk) {
+    NIReport Report = runEmpirical(*R.Prog, NIProc);
+    Out.NIBlock = formatNIBlock(Report);
+    Out.Ok &= Report.secure();
+  }
+  return Out;
 }
 
 std::string commcsl::formatVerdictLine(const std::string &Name,

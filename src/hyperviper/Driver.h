@@ -8,7 +8,9 @@
 /// The HyperViper-style driver: file in, verdict out. Runs the pipeline
 /// parse -> type check -> spec validity (Def. 3.1) -> program verification,
 /// with per-phase wall-clock timing, plus source metrics (code lines vs.
-/// annotation lines) matching the columns of the paper's Table 1.
+/// annotation lines) matching the columns of the paper's Table 1. The CLI
+/// and the serve daemon (service/Session.h) both run their verify,
+/// validity and NI verbs through this one driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,9 @@
 #include "verifier/Verifier.h"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace commcsl {
 
@@ -97,7 +101,30 @@ struct DriverOptions {
   bool Triage = false;
 };
 
-/// The verification driver.
+/// One resource specification's outcome in the Driver's spec phase.
+struct SpecOutcome {
+  bool Ok = true;
+  DiagnosticEngine Diags; ///< this spec's diagnostics only
+  double Seconds = 0;     ///< worker seconds spent on it
+  /// Certificate unit (VerifierConfig::EmitCert or ForgeAcceptAll only).
+  std::optional<cert::CertSpecUnit> Unit;
+};
+
+/// The verify verb's output for one input, split by stream: the CLI
+/// prints `Diagnostics` to stderr (unless --quiet) and the rest to stdout,
+/// the serve daemon concatenates all three into its report.
+struct VerifyVerbOutput {
+  std::string Diagnostics; ///< empty unless the input was rejected
+  std::string VerdictLine; ///< see formatVerdictLine
+  std::string NIBlock;     ///< see formatNIBlock; empty when NI did not run
+  bool Ok = false;         ///< verified, and empirically secure if NI ran
+};
+
+/// The verification driver. `verifyParsed` runs two phases: the spec
+/// phase (`checkSpecs`: Def. 3.1 validity of every resource spec) and the
+/// proc phase (the relational proof of every procedure). Each phase runs
+/// its independent units concurrently and merges their diagnostics in
+/// declaration order, so output is identical at any job count.
 class Driver {
 public:
   explicit Driver(DriverOptions Options = {}) : Options(Options) {}
@@ -112,7 +139,8 @@ public:
                            const std::string &Name);
 
   /// Verifies a previously parsed unit: replays its parse/type-check
-  /// diagnostics, then runs the validity and procedure phases against
+  /// diagnostics, then runs the spec phase (unless
+  /// VerifierConfig::SkipValidityCheck) and the proc phase against
   /// `Unit.Prog`. The verdict, diagnostics, and counts are identical to a
   /// fresh `verifySource` of the same buffer.
   DriverResult verifyParsed(const ParsedUnit &Unit);
@@ -120,14 +148,33 @@ public:
   /// Reads and verifies a file.
   DriverResult verifyFile(const std::string &Path);
 
-  /// Runs the empirical non-interference harness on a previously verified
-  /// (or parsed) result's procedure \p ProcName.
-  NIReport runEmpirical(const DriverResult &Result,
-                        const std::string &ProcName, NIConfig Config = {});
+  /// The spec phase: checks every resource spec of \p Prog for validity
+  /// (Def. 3.1), one outcome per spec in declaration order.
+  std::vector<SpecOutcome> checkSpecs(const Program &Prog);
+
+  /// Runs the empirical non-interference harness on procedure \p ProcName
+  /// of a parsed program.
+  NIReport runEmpirical(const Program &Prog, const std::string &ProcName,
+                        NIConfig Config = {});
+
+  /// The verify verb's output for \p R, labelled \p Name. A non-empty
+  /// \p NIProc runs the NI harness on that procedure when \p R parsed.
+  VerifyVerbOutput renderVerify(const DriverResult &R, const std::string &Name,
+                                const std::string &NIProc);
 
 private:
+  /// The verifier configuration both phases run under.
+  VerifierConfig verifierConfig() const;
+  /// The proc phase: verifies every procedure of `R.Prog` into \p R and
+  /// returns whether all of them verified.
+  bool verifyProcs(DriverResult &R);
+
   DriverOptions Options;
 };
+
+/// The whole content of the file at \p Path, or nullopt when it cannot be
+/// opened. Every verb that takes a `.hv` path reads it through here.
+std::optional<std::string> readFile(const std::string &Path);
 
 /// The per-file verdict line of the verify verb: `<Name>: verified` or
 /// `<Name>: REJECTED`, newline-terminated. The CLI and the serve daemon

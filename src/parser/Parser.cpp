@@ -8,12 +8,14 @@
 
 #include "parser/Lexer.h"
 
+#include <algorithm>
+
 using namespace commcsl;
 
 namespace {
 
-/// Thrown by NestingGuard once the limit error is reported; parseProgram
-/// catches it and drops the rest of the buffer.
+/// Thrown by NestingGuard and nodeHeight once the limit error is reported;
+/// parseProgram catches it and drops the rest of the buffer.
 struct NestingLimitHit {};
 
 } // namespace
@@ -27,6 +29,15 @@ Parser::NestingGuard::NestingGuard(Parser &P) : P(P) {
     return;
   P.error("nesting exceeds the limit of " + std::to_string(MaxNesting) +
           " levels");
+  throw NestingLimitHit{};
+}
+
+unsigned Parser::nodeHeight(unsigned ChildHeight, SourceLoc Loc) {
+  if (ChildHeight < MaxHeight)
+    return ChildHeight + 1;
+  Diags.error(DiagCode::ParseError, Loc,
+              "expression exceeds the height limit of " +
+                  std::to_string(MaxHeight) + " levels");
   throw NestingLimitHit{};
 }
 
@@ -526,9 +537,10 @@ bool Parser::parseAtom(Contract &Out) {
   }
 
   // Boolean atom, possibly `cond ==> low(e)` (value-dependent sensitivity).
-  ExprRef E = parseOr(/*AllowAnd=*/false);
+  ExprRef E = parseBinary(0, /*AllowAnd=*/false);
   if (!E)
     return false;
+  const unsigned HE = Height;
   if (accept(TokenKind::Arrow)) {
     if (accept(TokenKind::KwLow)) {
       expect(TokenKind::LParen, "after 'low'");
@@ -539,9 +551,10 @@ bool Parser::parseAtom(Contract &Out) {
       Out.push_back(ContractAtom::condLow(std::move(E), std::move(Val), Loc));
       return true;
     }
-    ExprRef Rhs = parseOr(/*AllowAnd=*/false);
+    ExprRef Rhs = parseBinary(0, /*AllowAnd=*/false);
     if (!Rhs)
       return false;
+    Height = nodeHeight(std::max(HE, Height), Loc);
     E = Expr::binary(BinaryOp::Implies, std::move(E), std::move(Rhs), Loc);
   }
   Out.push_back(ContractAtom::boolean(std::move(E), Loc));
@@ -878,14 +891,17 @@ CommandRef Parser::parseAssignLike() {
 
 std::vector<ExprRef> Parser::parseArgs() {
   std::vector<ExprRef> Args;
-  if (check(TokenKind::RParen))
-    return Args;
-  do {
-    ExprRef E = parseExpr();
-    if (!E)
-      break;
-    Args.push_back(std::move(E));
-  } while (accept(TokenKind::Comma));
+  unsigned Tallest = 0;
+  if (!check(TokenKind::RParen)) {
+    do {
+      ExprRef E = parseExpr();
+      if (!E)
+        break;
+      Tallest = std::max(Tallest, Height);
+      Args.push_back(std::move(E));
+    } while (accept(TokenKind::Comma));
+  }
+  Height = Tallest;
   return Args;
 }
 
@@ -895,106 +911,70 @@ ExprRef Parser::parseExpr() {
 }
 
 ExprRef Parser::parseImplies() {
-  ExprRef L = parseOr(/*AllowAnd=*/true);
+  ExprRef L = parseBinary(0);
   if (!L)
     return nullptr;
+  const unsigned HL = Height;
   if (accept(TokenKind::Arrow)) {
     SourceLoc Loc = peek().Loc;
     ExprRef R = parseExpr();
     if (!R)
       return nullptr;
+    Height = nodeHeight(std::max(HL, Height), Loc);
     return Expr::binary(BinaryOp::Implies, std::move(L), std::move(R), Loc);
   }
   return L;
 }
 
-ExprRef Parser::parseOr(bool AllowAnd) {
-  ExprRef L = AllowAnd ? parseAnd() : parseRelational();
-  if (!L)
-    return nullptr;
-  while (check(TokenKind::PipePipe)) {
-    SourceLoc Loc = advance().Loc;
-    ExprRef R = AllowAnd ? parseAnd() : parseRelational();
-    if (!R)
-      return nullptr;
-    L = Expr::binary(BinaryOp::Or, std::move(L), std::move(R), Loc);
-  }
-  return L;
+namespace {
+
+/// Binary precedence levels, loosest first: `||`, `&&`, comparisons,
+/// `+` `-`, `*` `/` `%`. Every level is left-associative.
+constexpr unsigned NumBinaryLevels = 5;
+
+/// The operator token \p K stands for at precedence level \p Level, if any.
+std::optional<BinaryOp> binaryOpAt(unsigned Level, TokenKind K) {
+  static const std::vector<std::pair<TokenKind, BinaryOp>> Levels[] = {
+      {{TokenKind::PipePipe, BinaryOp::Or}},
+      {{TokenKind::AmpAmp, BinaryOp::And}},
+      {{TokenKind::EqEq, BinaryOp::Eq},
+       {TokenKind::NotEq, BinaryOp::Ne},
+       {TokenKind::Less, BinaryOp::Lt},
+       {TokenKind::LessEq, BinaryOp::Le},
+       {TokenKind::Greater, BinaryOp::Gt},
+       {TokenKind::GreaterEq, BinaryOp::Ge}},
+      {{TokenKind::Plus, BinaryOp::Add}, {TokenKind::Minus, BinaryOp::Sub}},
+      {{TokenKind::Star, BinaryOp::Mul},
+       {TokenKind::Slash, BinaryOp::Div},
+       {TokenKind::Percent, BinaryOp::Mod}}};
+  for (const auto &[Tok, Op] : Levels[Level])
+    if (Tok == K)
+      return Op;
+  return std::nullopt;
 }
 
-ExprRef Parser::parseAnd() {
-  ExprRef L = parseRelational();
-  if (!L)
-    return nullptr;
-  while (check(TokenKind::AmpAmp)) {
-    SourceLoc Loc = advance().Loc;
-    ExprRef R = parseRelational();
-    if (!R)
-      return nullptr;
-    L = Expr::binary(BinaryOp::And, std::move(L), std::move(R), Loc);
-  }
-  return L;
-}
+} // namespace
 
-ExprRef Parser::parseRelational() {
-  ExprRef L = parseAdditive();
+ExprRef Parser::parseBinary(unsigned Level, bool AllowAnd) {
+  const unsigned Next = Level == 0 && !AllowAnd ? 2 : Level + 1;
+  auto Operand = [&] {
+    return Next == NumBinaryLevels ? parseUnary() : parseBinary(Next);
+  };
+  ExprRef L = Operand();
   if (!L)
     return nullptr;
-  while (true) {
-    BinaryOp Op;
-    if (check(TokenKind::EqEq))
-      Op = BinaryOp::Eq;
-    else if (check(TokenKind::NotEq))
-      Op = BinaryOp::Ne;
-    else if (check(TokenKind::Less))
-      Op = BinaryOp::Lt;
-    else if (check(TokenKind::LessEq))
-      Op = BinaryOp::Le;
-    else if (check(TokenKind::Greater))
-      Op = BinaryOp::Gt;
-    else if (check(TokenKind::GreaterEq))
-      Op = BinaryOp::Ge;
-    else
-      return L;
+  // The chain is built in a loop, so it adds tree height without nesting;
+  // each new node is measured.
+  unsigned HL = Height;
+  while (std::optional<BinaryOp> Op = binaryOpAt(Level, peek().Kind)) {
     SourceLoc Loc = advance().Loc;
-    ExprRef R = parseAdditive();
+    ExprRef R = Operand();
     if (!R)
       return nullptr;
-    L = Expr::binary(Op, std::move(L), std::move(R), Loc);
+    HL = nodeHeight(std::max(HL, Height), Loc);
+    L = Expr::binary(*Op, std::move(L), std::move(R), Loc);
   }
-}
-
-ExprRef Parser::parseAdditive() {
-  ExprRef L = parseMultiplicative();
-  if (!L)
-    return nullptr;
-  while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
-    BinaryOp Op =
-        check(TokenKind::Plus) ? BinaryOp::Add : BinaryOp::Sub;
-    SourceLoc Loc = advance().Loc;
-    ExprRef R = parseMultiplicative();
-    if (!R)
-      return nullptr;
-    L = Expr::binary(Op, std::move(L), std::move(R), Loc);
-  }
-  return L;
-}
-
-ExprRef Parser::parseMultiplicative() {
-  ExprRef L = parseUnary();
-  if (!L)
-    return nullptr;
-  while (check(TokenKind::Star) || check(TokenKind::Slash) ||
-         check(TokenKind::Percent)) {
-    BinaryOp Op = check(TokenKind::Star)    ? BinaryOp::Mul
-                  : check(TokenKind::Slash) ? BinaryOp::Div
-                                            : BinaryOp::Mod;
-    SourceLoc Loc = advance().Loc;
-    ExprRef R = parseUnary();
-    if (!R)
-      return nullptr;
-    L = Expr::binary(Op, std::move(L), std::move(R), Loc);
-  }
+  Height = HL;
   return L;
 }
 
@@ -1008,6 +988,7 @@ ExprRef Parser::parseUnary() {
     // Fold negative integer literals immediately.
     if (A->Kind == ExprKind::IntLit)
       return Expr::intLit(-A->IntVal, Loc);
+    Height = nodeHeight(Height, Loc);
     return Expr::unary(UnaryOp::Neg, std::move(A), Loc);
   }
   if (check(TokenKind::Bang)) {
@@ -1016,6 +997,7 @@ ExprRef Parser::parseUnary() {
     ExprRef A = parseUnary();
     if (!A)
       return nullptr;
+    Height = nodeHeight(Height, Loc);
     return Expr::unary(UnaryOp::Not, std::move(A), Loc);
   }
   return parsePrimary();
@@ -1023,6 +1005,7 @@ ExprRef Parser::parseUnary() {
 
 ExprRef Parser::parsePrimary() {
   SourceLoc Loc = peek().Loc;
+  Height = 1; // a leaf, unless a branch below says otherwise
   if (check(TokenKind::IntLiteral))
     return Expr::intLit(advance().IntVal, Loc);
   if (accept(TokenKind::KwTrue))
@@ -1048,6 +1031,7 @@ ExprRef Parser::parsePrimary() {
       Diags.error(DiagCode::ParseError, Loc, "pair takes two arguments");
       return nullptr;
     }
+    Height = nodeHeight(Height, Loc);
     return Expr::builtin(BuiltinKind::PairMk, std::move(Args), Loc);
   }
   if (check(TokenKind::Identifier)) {
@@ -1055,6 +1039,7 @@ ExprRef Parser::parsePrimary() {
     if (accept(TokenKind::LParen)) {
       std::vector<ExprRef> Args = parseArgs();
       expect(TokenKind::RParen, "after call arguments");
+      Height = nodeHeight(Height, Loc);
       if (std::optional<BuiltinKind> BK = builtinByName(Name)) {
         if (Args.size() != builtinArity(*BK)) {
           Diags.error(DiagCode::ParseError, Loc,

@@ -35,8 +35,16 @@ public:
   /// of the buffer is not parsed, so nesting cannot exhaust the stack of
   /// the recursive parser or of the recursive passes after it: at this
   /// limit every verb passes on an 8 MB thread stack under the UBSan build.
-  /// A chain of binary operators is not nesting and is not bounded here.
+  /// A chain of binary operators is not nesting; MaxHeight bounds it.
   static constexpr unsigned MaxNesting = 1000;
+
+  /// The tallest expression tree the parser builds. A chain of binary
+  /// operators (`l + l + ... + l`) is parsed in a loop, so it adds one tree
+  /// level per operator without nesting, and every pass after the parser
+  /// recurses once per level. The node that would cross this height gets
+  /// one parse error at its operator, and the rest of the buffer is not
+  /// parsed, as for MaxNesting.
+  static constexpr unsigned MaxHeight = 1000;
 
   Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
       : Tokens(std::move(Tokens)), Diags(Diags) {}
@@ -69,6 +77,10 @@ private:
   }
   bool expect(TokenKind Kind, const char *Context);
   void error(const std::string &Msg);
+  /// The height of a new expression node at \p Loc whose tallest child is
+  /// \p ChildHeight levels tall. Crossing MaxHeight reports the error and
+  /// unwinds to parseProgram.
+  unsigned nodeHeight(unsigned ChildHeight, SourceLoc Loc);
   void syncToStatement();
   void syncToDecl();
 
@@ -105,11 +117,9 @@ private:
   // Expressions ---------------------------------------------------------------
   ExprRef parseExpr();            // full precedence incl. &&, ||, ==>
   ExprRef parseImplies();
-  ExprRef parseOr(bool AllowAnd); // AllowAnd=false inside contract atoms
-  ExprRef parseAnd();
-  ExprRef parseRelational();
-  ExprRef parseAdditive();
-  ExprRef parseMultiplicative();
+  /// A chain of the binary operators at precedence level \p Level (0 is
+  /// `||`); AllowAnd=false, inside contract atoms, skips the `&&` level.
+  ExprRef parseBinary(unsigned Level, bool AllowAnd = true);
   ExprRef parseUnary();
   ExprRef parsePrimary();
   std::vector<ExprRef> parseArgs();
@@ -118,6 +128,9 @@ private:
   DiagnosticEngine &Diags;
   size_t Index = 0;
   unsigned Depth = 0; ///< nesting levels currently open
+  /// Tree height of the expression the last expression parser returned
+  /// (the largest argument's, after parseArgs).
+  unsigned Height = 0;
 };
 
 } // namespace commcsl

@@ -130,7 +130,7 @@ struct ValidityConfig {
   /// BoundedChecks/RandomChecks (fewer obligations reach them) and the
   /// Absint* counters change.
   bool RunAbsintTier = true;
-  /// Budgets and fault-injection knobs for the abstract tier.
+  /// Fault injection for the abstract tier (its budgets are constants).
   absint::AbsOptions Absint;
   /// Optional cooperative request budget. When it fires, the concrete
   /// tiers stop early and the result comes back TimedOut (Valid = false,

@@ -323,7 +323,8 @@ struct Parser {
     return fail("unterminated string");
   }
 
-  bool parseValue(JsonValue &Out);
+  /// Parses a value inside \p Depth open arrays and objects.
+  bool parseValue(JsonValue &Out, unsigned Depth);
 
   bool parseNumber(JsonValue &Out) {
     size_t Start = Pos;
@@ -347,11 +348,14 @@ struct Parser {
   }
 };
 
-bool Parser::parseValue(JsonValue &Out) {
+bool Parser::parseValue(JsonValue &Out, unsigned Depth) {
   skipWs();
   if (Pos >= Text.size())
     return fail("unexpected end of input");
   char C = Text[Pos];
+  if ((C == '{' || C == '[') && Depth == JsonValue::MaxNesting)
+    return fail("nesting exceeds the limit of " +
+                std::to_string(JsonValue::MaxNesting) + " levels");
   if (C == '{') {
     ++Pos;
     Out = JsonValue::object();
@@ -369,7 +373,7 @@ bool Parser::parseValue(JsonValue &Out) {
       if (!consume(':'))
         return false;
       JsonValue V;
-      if (!parseValue(V))
+      if (!parseValue(V, Depth + 1))
         return false;
       Out.set(std::move(Key), std::move(V));
       skipWs();
@@ -390,7 +394,7 @@ bool Parser::parseValue(JsonValue &Out) {
     }
     for (;;) {
       JsonValue V;
-      if (!parseValue(V))
+      if (!parseValue(V, Depth + 1))
         return false;
       Out.push(std::move(V));
       skipWs();
@@ -435,7 +439,7 @@ std::optional<JsonValue> JsonValue::parse(const std::string &Text,
                                           std::string *Error) {
   Parser P(Text);
   JsonValue V;
-  if (!P.parseValue(V)) {
+  if (!P.parseValue(V, 0)) {
     if (Error)
       *Error = P.Error;
     return std::nullopt;

@@ -47,9 +47,15 @@ public:
   static JsonValue array();
   static JsonValue object();
 
+  /// The deepest nesting of arrays and objects `parse` accepts. The parser
+  /// and the value's destructor recurse once per level, so an unbounded
+  /// depth would let one request line exhaust a serve thread's stack.
+  static constexpr unsigned MaxNesting = 256;
+
   /// Parses one complete JSON document; trailing non-whitespace is an
-  /// error. On failure returns nullopt and, if \p Error is non-null, a
-  /// one-line description with the byte offset.
+  /// error, and so is nesting deeper than MaxNesting. On failure returns
+  /// nullopt and, if \p Error is non-null, a one-line description with the
+  /// byte offset.
   static std::optional<JsonValue> parse(const std::string &Text,
                                         std::string *Error = nullptr);
 

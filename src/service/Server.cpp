@@ -252,7 +252,8 @@ void Server::acceptLoop() {
 }
 
 void Server::readerLoop(std::shared_ptr<Connection> Conn) {
-  std::string Buffer;
+  std::string Buffer; // the unterminated tail of the current line
+  bool Overlong = false; // dropping an over-long line up to its newline
   char Chunk[4096];
   for (;;) {
     ssize_t N = ::recv(Conn->Fd, Chunk, sizeof(Chunk), 0);
@@ -260,10 +261,15 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
       continue;
     if (N <= 0)
       return; // client closed (or shutdown during stop)
+    size_t Scan = Buffer.size(); // bytes before it hold no newline
     Buffer.append(Chunk, static_cast<size_t>(N));
     size_t Start = 0;
-    for (size_t NL; (NL = Buffer.find('\n', Start)) != std::string::npos;
-         Start = NL + 1) {
+    for (size_t NL; (NL = Buffer.find('\n', Scan)) != std::string::npos;
+         Start = Scan = NL + 1) {
+      if (Overlong) {
+        Overlong = false;
+        continue;
+      }
       std::string Line = Buffer.substr(Start, NL - Start);
       if (!Line.empty() && Line.back() == '\r')
         Line.pop_back();
@@ -271,6 +277,15 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
         serveLine(Conn, Line);
     }
     Buffer.erase(0, Start);
+    if (Buffer.size() > MaxLineBytes) {
+      if (!Overlong)
+        Conn->writeLine(errorLine(nullptr, "bad-request",
+                                  "request line exceeds " +
+                                      std::to_string(MaxLineBytes) +
+                                      " bytes"));
+      Overlong = true;
+      Buffer.clear();
+    }
   }
 }
 
@@ -290,26 +305,18 @@ void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,
 
   // Control verbs are handled inline on the reader thread — never queued —
   // so a saturated queue cannot starve health checks or shutdown.
-  if (Verb == "stats") {
+  if (Verb == "stats" || Verb == "reset" || Verb == "shutdown") {
     JsonValue O = responseShell(&*J);
     O.set("ok", JsonValue::boolean(true));
-    O.setRaw("stats", statsJson());
+    if (Verb == "stats")
+      O.setRaw("stats", statsJson());
+    else if (Verb == "reset")
+      Sess.resetCaches();
+    else
+      O.set("shutting_down", JsonValue::boolean(true));
     Conn.writeLine(O.dump() + "\n");
-    return;
-  }
-  if (Verb == "reset") {
-    Sess.resetCaches();
-    JsonValue O = responseShell(&*J);
-    O.set("ok", JsonValue::boolean(true));
-    Conn.writeLine(O.dump() + "\n");
-    return;
-  }
-  if (Verb == "shutdown") {
-    JsonValue O = responseShell(&*J);
-    O.set("ok", JsonValue::boolean(true));
-    O.set("shutting_down", JsonValue::boolean(true));
-    Conn.writeLine(O.dump() + "\n");
-    stop();
+    if (Verb == "shutdown")
+      stop();
     return;
   }
 
@@ -340,7 +347,8 @@ void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,
           .add(1);
       return;
     }
-    Queue.push_back(QueueItem{ConnPtr, Line});
+    Queue.push_back(
+        QueueItem{ConnPtr, responseShell(&*J), std::move(Request)});
   }
   QueueCv.notify_one();
 }
@@ -358,25 +366,18 @@ void Server::workerLoop() {
       Queue.pop_front();
       ++InFlight;
     }
-    // The line already parsed once (serveLine validated it); parse again
-    // here so the queue holds plain strings.
-    std::optional<JsonValue> J = JsonValue::parse(Item.Line);
-    ServiceRequest Request;
-    std::string Message;
-    if (J && buildRequest(*J, Request, Message)) {
-      ServiceResponse Resp = Sess.handle(Request);
-      if (Resp.TimedOut)
-        // Typed timeout: the budget fired before a verdict. The partial
-        // work drained gracefully and the program stays cached, so a retry
-        // with a larger budget skips the parse.
-        Item.Conn->writeLine(errorLine(
-            &*J, "timeout",
-            "request exceeded its budget (budget_ms/max_steps) before "
-            "reaching a verdict; caches remain warm — retry with a larger "
-            "budget"));
-      else
-        Item.Conn->writeLine(responseLine(*J, Resp));
-    }
+    ServiceResponse Resp = Sess.handle(Item.Request);
+    if (Resp.TimedOut)
+      // Typed timeout: the budget fired before a verdict. The partial work
+      // drained gracefully and the program stays cached, so a retry with a
+      // larger budget skips the parse.
+      Item.Conn->writeLine(errorLine(
+          &Item.Shell, "timeout",
+          "request exceeded its budget (budget_ms/max_steps) before "
+          "reaching a verdict; caches remain warm — retry with a larger "
+          "budget"));
+    else
+      Item.Conn->writeLine(responseLine(Item.Shell, Resp));
     {
       std::lock_guard<std::mutex> Lock(QueueMu);
       --InFlight;

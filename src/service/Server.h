@@ -27,10 +27,11 @@
 ///    "program_cache_hit":false}
 ///   {"id":9,"error":{"type":"busy","message":"..."}}
 ///
-/// Error types: `bad-request` (unparseable line / missing field),
-/// `unknown-verb`, `busy` (bounded work queue full — the backpressure
-/// contract: the daemon never buffers unboundedly, it refuses), and
-/// `shutting-down`.
+/// Error types: `bad-request` (unparseable line, missing field, JSON
+/// nested deeper than JsonValue::MaxNesting, or a line longer than
+/// MaxLineBytes), `unknown-verb`, `busy` (bounded work queue full — the
+/// backpressure contract: the daemon never buffers unboundedly, it
+/// refuses), and `shutting-down`.
 ///
 /// The `report` string is byte-identical to the one-shot CLI's combined
 /// stderr+stdout output for the same input, cold or warm cache, at any
@@ -52,6 +53,7 @@
 #ifndef COMMCSL_SERVICE_SERVER_H
 #define COMMCSL_SERVICE_SERVER_H
 
+#include "service/Json.h"
 #include "service/Session.h"
 
 #include <atomic>
@@ -71,6 +73,12 @@ namespace commcsl {
 /// semantics to a `Session`.
 class Server {
 public:
+  /// The longest request line a connection buffers. A client that sends
+  /// more without a newline gets one typed `bad-request`, and the rest of
+  /// that line is dropped, so one connection cannot grow the daemon's
+  /// memory without limit.
+  static constexpr size_t MaxLineBytes = size_t(64) << 20;
+
   /// \p Port 0 binds an ephemeral port (read it back from `port()` — the
   /// tests' race-free pattern). \p Workers bounds how many requests are
   /// *in flight* (each still fans out over the shared ThreadPool
@@ -109,7 +117,8 @@ private:
   struct Connection;
   struct QueueItem {
     std::shared_ptr<Connection> Conn;
-    std::string Line;
+    JsonValue Shell; ///< the response's start: the request's echoed id
+    ServiceRequest Request;
   };
 
   void acceptLoop();

@@ -14,20 +14,6 @@ using namespace commcsl;
 
 namespace {
 
-/// Counts a service request in the process metrics registry. Request
-/// arrival order depends on client scheduling, so everything here is
-/// Varies.
-void countRequest(const char *Verb, bool CacheHit) {
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.counter("service.requests", Stability::Varies).add(1);
-  M.counter(std::string("service.requests_") + Verb, Stability::Varies)
-      .add(1);
-  M.counter(CacheHit ? "service.program_cache_hits"
-                     : "service.program_cache_misses",
-            Stability::Varies)
-      .add(1);
-}
-
 /// The request's cooperative budget, or null when unlimited. One budget
 /// object spans every spec the request checks, so the caps are per
 /// request, not per spec.
@@ -49,6 +35,17 @@ void noteTimeout(const std::shared_ptr<CheckBudget> &Budget,
   MetricsRegistry::global()
       .counter("service.timeouts", Stability::Varies)
       .add(1);
+}
+
+/// Fills \p Resp with the reply to a verb whose program does not parse or
+/// type-check, and returns it: the diagnostics and the REJECTED verdict
+/// line, as the CLI prints them.
+ServiceResponse rejectUnparsed(const ParsedUnit &Unit, const std::string &Name,
+                               ServiceResponse &Resp) {
+  Resp.Report = Unit.Diags.str(Name) + formatVerdictLine(Name, false);
+  Resp.Ok = false;
+  Resp.Exit = 1;
+  return Resp;
 }
 
 } // namespace
@@ -128,102 +125,74 @@ Session::driverOptions(const ServiceRequest &Request,
   O.Verifier.SkipValidityCheck = Request.NoValidity;
   O.Verifier.EmitCert = Request.EmitCert;
   O.Verifier.VerdictMemo = P->Verdicts;
+  O.Verifier.Validity.Budget = makeBudget(Request);
   return O;
+}
+
+std::shared_ptr<Session::CachedProgram>
+Session::begin(const char *Verb, const ServiceRequest &Request,
+               ServiceResponse &Resp, bool UsesProgram) {
+  std::shared_ptr<CachedProgram> P;
+  if (UsesProgram)
+    P = obtain(Request.Source, Request.Name, Resp.ProgramCacheHit);
+  // Request arrival order depends on client scheduling, so every request
+  // counter is Varies.
+  MetricsRegistry &M = MetricsRegistry::global();
+  M.counter("service.requests", Stability::Varies).add(1);
+  M.counter(std::string("service.requests_") + Verb, Stability::Varies)
+      .add(1);
+  M.counter(Resp.ProgramCacheHit ? "service.program_cache_hits"
+                                 : "service.program_cache_misses",
+            Stability::Varies)
+      .add(1);
+  std::lock_guard<std::mutex> Lock(Mu);
+  ++Requests;
+  return P;
 }
 
 ServiceResponse Session::verify(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  std::shared_ptr<CachedProgram> P =
-      obtain(Request.Source, Request.Name, Resp.ProgramCacheHit);
-  countRequest("verify", Resp.ProgramCacheHit);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Requests;
-  }
-
-  std::shared_ptr<CheckBudget> Budget = makeBudget(Request);
+  std::shared_ptr<CachedProgram> P = begin("verify", Request, Resp);
   DriverOptions DO = driverOptions(Request, P);
-  DO.Verifier.Validity.Budget = Budget;
   Driver D(DO);
   ParsedUnit Unit = P->Unit; // relabel under the request's name
   Unit.Name = Request.Name;
   DriverResult R = D.verifyParsed(Unit);
-
-  // Byte-for-byte the one-shot CLI's output for this file: the stderr
-  // diagnostics block (printed only on rejection), the stdout verdict
-  // line, then the optional NI block.
-  if (!R.Verified)
-    Resp.Report += R.Diags.str(Request.Name);
-  Resp.Report += formatVerdictLine(Request.Name, R.Verified);
-  Resp.Ok = R.Verified;
-  Resp.Exit = R.Verified ? 0 : 1;
+  VerifyVerbOutput Out = D.renderVerify(R, Request.Name, Request.Proc);
+  Resp.Report = Out.Diagnostics + Out.VerdictLine + Out.NIBlock;
+  Resp.Ok = Out.Ok;
+  Resp.Exit = Out.Ok ? 0 : 1;
   Resp.Cert = R.Cert;
-
-  if (!Request.Proc.empty() && R.ParseOk) {
-    NIReport Report = D.runEmpirical(R, Request.Proc);
-    Resp.Report += formatNIBlock(Report);
-    if (!Report.secure()) {
-      Resp.Ok = false;
-      Resp.Exit = 1;
-    }
-  }
-
-  noteTimeout(Budget, Resp);
+  noteTimeout(DO.Verifier.Validity.Budget, Resp);
   return Resp;
 }
 
 ServiceResponse Session::validity(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  std::shared_ptr<CachedProgram> P =
-      obtain(Request.Source, Request.Name, Resp.ProgramCacheHit);
-  countRequest("validity", Resp.ProgramCacheHit);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Requests;
-  }
+  std::shared_ptr<CachedProgram> P = begin("validity", Request, Resp);
+  if (!P->Unit.Ok)
+    return rejectUnparsed(P->Unit, Request.Name, Resp);
 
-  if (!P->Unit.Ok) {
-    Resp.Report = P->Unit.Diags.str(Request.Name) +
-                  formatVerdictLine(Request.Name, false);
-    Resp.Ok = false;
-    Resp.Exit = 1;
-    return Resp;
-  }
-
-  std::shared_ptr<CheckBudget> Budget = makeBudget(Request);
-  VerifierConfig VC;
-  VC.Validity.Jobs = Request.Jobs != 0 ? Request.Jobs : Options.Jobs;
-  VC.Validity.Budget = Budget;
-  VC.VerdictMemo = P->Verdicts;
-  DiagnosticEngine Diags;
-  Verifier V(*P->Unit.Prog, Diags, VC);
-  std::string Lines;
+  DriverOptions DO = driverOptions(Request, P);
+  std::vector<SpecOutcome> Specs = Driver(DO).checkSpecs(*P->Unit.Prog);
+  std::string Diags, Lines;
   bool AllValid = true;
-  for (const ResourceSpecDecl &Spec : P->Unit.Prog->Specs) {
-    // A fired budget stops the walk; specs not reached are simply not
-    // reported (the whole response becomes a typed timeout error anyway).
-    if (Budget && Budget->fired())
-      break;
-    bool Ok = V.verifySpec(Spec);
-    AllValid &= Ok;
-    Lines += "spec " + Spec.Name + ": " + (Ok ? "valid" : "INVALID") + "\n";
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    AllValid &= Specs[I].Ok;
+    Diags += Specs[I].Diags.str(Request.Name);
+    Lines += "spec " + P->Unit.Prog->Specs[I].Name + ": " +
+             (Specs[I].Ok ? "valid" : "INVALID") + "\n";
   }
-  if (!AllValid)
-    Resp.Report += Diags.str(Request.Name);
-  Resp.Report += Lines;
+  Resp.Report = AllValid ? Lines : Diags + Lines;
   Resp.Ok = AllValid;
   Resp.Exit = AllValid ? 0 : 1;
-  noteTimeout(Budget, Resp);
+  noteTimeout(DO.Verifier.Validity.Budget, Resp);
   return Resp;
 }
 
 ServiceResponse Session::analyze(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  countRequest("analyze", false);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Requests;
-  }
+  begin("analyze", Request, Resp, /*UsesProgram=*/false);
   AnalyzeResult AR;
   AR.Files.push_back(analyzeSourceBlock(Request.Source, Request.Name));
   Resp.Report = AR.str();
@@ -234,26 +203,11 @@ ServiceResponse Session::analyze(const ServiceRequest &Request) {
 
 ServiceResponse Session::ni(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  std::shared_ptr<CachedProgram> P =
-      obtain(Request.Source, Request.Name, Resp.ProgramCacheHit);
-  countRequest("ni", Resp.ProgramCacheHit);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Requests;
-  }
-
-  if (!P->Unit.Ok) {
-    Resp.Report = P->Unit.Diags.str(Request.Name) +
-                  formatVerdictLine(Request.Name, false);
-    Resp.Ok = false;
-    Resp.Exit = 1;
-    return Resp;
-  }
-
-  NIConfig Config;
-  Config.Jobs = Request.Jobs != 0 ? Request.Jobs : Options.Jobs;
-  NonInterferenceHarness Harness(*P->Unit.Prog, Request.Proc, Config);
-  NIReport Report = Harness.run();
+  std::shared_ptr<CachedProgram> P = begin("ni", Request, Resp);
+  if (!P->Unit.Ok)
+    return rejectUnparsed(P->Unit, Request.Name, Resp);
+  NIReport Report = Driver(driverOptions(Request, P))
+                        .runEmpirical(*P->Unit.Prog, Request.Proc);
   Resp.Report = formatNIBlock(Report);
   Resp.Ok = Report.secure();
   Resp.Exit = Resp.Ok ? 0 : 1;
@@ -262,11 +216,7 @@ ServiceResponse Session::ni(const ServiceRequest &Request) {
 
 ServiceResponse Session::fuzz(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  countRequest("fuzz", false);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Requests;
-  }
+  begin("fuzz", Request, Resp, /*UsesProgram=*/false);
   CampaignConfig Config = Request.Fuzz;
   if (Config.Jobs == 0)
     Config.Jobs = Options.Jobs;

@@ -10,7 +10,10 @@
 /// the shared ThreadPool (via ThreadPool::shared()), the process-wide
 /// value-intern table, and a bounded LRU cache of parsed programs, each
 /// with its own validity-verdict memo — and exposes a request API covering
-/// the five subsystems: verify, validity, analyze, NI, fuzz.
+/// the five subsystems: verify, validity, analyze, NI, fuzz. Each verb
+/// calls the implementation the CLI calls (the Driver's phases,
+/// `Driver::renderVerify`, `Driver::runEmpirical`, `analyzeSourceBlock`,
+/// `runCampaign`); Session only adds the program cache and budgets.
 ///
 /// Warm-cache contract: a resubmitted source skips the parse phase, and
 /// its `verify` and `validity` requests replay each spec's Def. 3.1
@@ -134,18 +137,18 @@ public:
   /// Dispatches on the request's verb.
   ServiceResponse handle(const ServiceRequest &Request);
 
-  ServiceResponse verify(const ServiceRequest &Request);
-  ServiceResponse validity(const ServiceRequest &Request);
-  ServiceResponse analyze(const ServiceRequest &Request);
-  ServiceResponse ni(const ServiceRequest &Request);
-  ServiceResponse fuzz(const ServiceRequest &Request);
-
   SessionStats stats() const;
 
   /// Drops every cached program and its verdict memo (maintenance hook).
   void resetCaches();
 
 private:
+  ServiceResponse verify(const ServiceRequest &Request);
+  ServiceResponse validity(const ServiceRequest &Request);
+  ServiceResponse analyze(const ServiceRequest &Request);
+  ServiceResponse ni(const ServiceRequest &Request);
+  ServiceResponse fuzz(const ServiceRequest &Request);
+
   /// A parsed program plus the validity verdicts its requests computed.
   /// Cached entries are shared_ptrs so eviction cannot invalidate a request
   /// mid-flight: an in-flight request keeps its entry (program, memo and
@@ -163,6 +166,14 @@ private:
                                         const std::string &Name,
                                         bool &WasHit);
 
+  /// Every verb's prologue: counts the request and, when \p UsesProgram,
+  /// fetches its parsed program (setting the response's cache flag).
+  std::shared_ptr<CachedProgram> begin(const char *Verb,
+                                       const ServiceRequest &Request,
+                                       ServiceResponse &Resp,
+                                       bool UsesProgram = true);
+
+  /// The request's driver options over \p P, its budget included.
   DriverOptions driverOptions(const ServiceRequest &Request,
                               const std::shared_ptr<CachedProgram> &P) const;
 

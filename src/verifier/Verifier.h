@@ -36,7 +36,6 @@
 #include "support/Diagnostics.h"
 #include "verifier/SpecVerdictMemo.h"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,37 +92,31 @@ struct VerifyResult {
   std::vector<cert::CertSpecUnit> SpecUnits;
 };
 
-/// The CommCSL verifier. Construct once per program; `verifyAll` checks
-/// every resource specification (Def. 3.1) and every procedure against its
-/// contract. Diagnostics carry machine-readable codes (DiagCode) that the
-/// negative tests assert on.
+/// The CommCSL verifier over one program: `verifySpec` checks a resource
+/// specification (Def. 3.1), `verifyProc` a procedure against its
+/// contract. The whole-program pipeline over both is the Driver's
+/// (hyperviper/Driver.h). Diagnostics carry machine-readable codes
+/// (DiagCode) that the negative tests assert on.
 class Verifier {
 public:
   Verifier(const Program &Prog, DiagnosticEngine &Diags,
            VerifierConfig Config = {});
   ~Verifier();
 
-  /// Verifies all specs and procedures.
-  VerifyResult verifyAll();
-
-  /// Verifies one resource specification (validity, Def. 3.1).
-  bool verifySpec(const ResourceSpecDecl &Spec);
+  /// Verifies one resource specification (validity, Def. 3.1). With
+  /// EmitCert or ForgeAcceptAll, a non-null \p Unit receives its
+  /// certificate unit.
+  bool verifySpec(const ResourceSpecDecl &Spec,
+                  std::optional<cert::CertSpecUnit> *Unit = nullptr);
 
   /// Verifies one procedure against its contract.
   ProcVerdict verifyProc(const ProcDecl &Proc);
-
-  /// Spec certificate units built so far (EmitCert only), keyed by name.
-  const std::map<std::string, cert::CertSpecUnit> &specUnits() const {
-    return SpecUnits;
-  }
 
 private:
   struct Impl;
   const Program &Prog;
   DiagnosticEngine &Diags;
   VerifierConfig Config;
-  /// Spec certificate units built so far (EmitCert only), by name.
-  std::map<std::string, cert::CertSpecUnit> SpecUnits;
 };
 
 } // namespace commcsl

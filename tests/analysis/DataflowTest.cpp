@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exercises the generic monotone worklist solver on two simple problems
+/// Exercises the generic monotone worklist solver on a simple problem
 /// phrased directly against the CFG: forward reachability ("which nodes can
-/// execute") and a backward liveness-style property. Both have known closed
-/// forms on small graphs, so the fixpoints are checked exactly; solving
-/// twice must give identical results (determinism).
+/// execute"). It has a known closed form on small graphs, so the fixpoint is
+/// checked exactly; solving twice must give identical results
+/// (determinism).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,21 +50,6 @@ struct ReachProblem {
   State transfer(const CFG &, unsigned, const State &In) const { return In; }
 };
 
-/// Backward demand: a node "needs" the exit if some path reaches it. On a
-/// graph without dead code every node needs the exit.
-struct DemandProblem {
-  using State = int;
-  State bottom(const CFG &) const { return 0; }
-  State boundary(const CFG &) const { return 1; }
-  bool join(State &Into, const State &From) const {
-    if (Into || !From)
-      return false;
-    Into = 1;
-    return true;
-  }
-  State transfer(const CFG &, unsigned, const State &In) const { return In; }
-};
-
 } // namespace
 
 TEST(DataflowTest, ForwardReachabilityCoversConnectedGraph) {
@@ -78,31 +63,10 @@ TEST(DataflowTest, ForwardReachabilityCoversConnectedGraph) {
                    "  if (i > 2) { out := 1; } else { out := 0; }\n"
                    "}\n");
   ReachProblem P;
-  DataflowResult<ReachProblem> R =
-      solveDataflow(G, P, DataflowDirection::Forward);
+  DataflowResult<ReachProblem> R = solveDataflow(G, P);
   ASSERT_EQ(R.Out.size(), G.size());
   for (unsigned I = 0; I < G.size(); ++I)
     EXPECT_TRUE(R.Out[I]) << "node " << I << " unreachable in fixpoint";
-}
-
-TEST(DataflowTest, BackwardSolveReachesEntry) {
-  Program Prog;
-  CFG G = buildCFG(Prog, "procedure main(l: int) returns (out: int)\n"
-                   "  requires low(l)\n"
-                   "  ensures low(out)\n"
-                   "{\n"
-                   "  var i: int := 0;\n"
-                   "  while (i < l) invariant low(i) { i := i + 1; }\n"
-                   "  out := i;\n"
-                   "}\n");
-  DemandProblem P;
-  DataflowResult<DemandProblem> R =
-      solveDataflow(G, P, DataflowDirection::Backward);
-  ASSERT_EQ(R.Out.size(), G.size());
-  // Every node lies on a path to exit, including the entry.
-  EXPECT_TRUE(R.Out[G.entry()]);
-  for (unsigned I = 0; I < G.size(); ++I)
-    EXPECT_TRUE(R.Out[I]) << "node " << I;
 }
 
 TEST(DataflowTest, SolvingTwiceIsIdentical) {
@@ -117,10 +81,8 @@ TEST(DataflowTest, SolvingTwiceIsIdentical) {
                    "  out := a;\n"
                    "}\n");
   ReachProblem P1, P2;
-  DataflowResult<ReachProblem> R1 =
-      solveDataflow(G, P1, DataflowDirection::Forward);
-  DataflowResult<ReachProblem> R2 =
-      solveDataflow(G, P2, DataflowDirection::Forward);
+  DataflowResult<ReachProblem> R1 = solveDataflow(G, P1);
+  DataflowResult<ReachProblem> R2 = solveDataflow(G, P2);
   EXPECT_EQ(R1.In, R2.In);
   EXPECT_EQ(R1.Out, R2.Out);
 }

@@ -302,6 +302,14 @@ std::string nestedIfs(unsigned N) {
   return "out := l; " + Open + "out := l;" + Close;
 }
 
+/// `out := l + l + ... + l;` with \p N terms, a tree N levels tall.
+std::string chain(unsigned N) {
+  std::string E = "out := l";
+  for (unsigned I = 1; I < N; ++I)
+    E += " + l";
+  return E + ";";
+}
+
 } // namespace
 
 TEST(CliNestingTest, OverTheLimitIsAParseErrorNotACrash) {
@@ -330,4 +338,32 @@ TEST(CliNestingTest, OverTheLimitIsAParseErrorNotACrash) {
   EXPECT_NE(R.Output.find(": parse-error\n"), std::string::npos);
   EXPECT_NE(R.Output.find("\n" + std::string(Max + 12, ' ') + "^\n"),
             std::string::npos);
+}
+
+TEST(CliNestingTest, TallExpressionIsAParseErrorNotACrash) {
+  const unsigned Max = commcsl::Parser::MaxHeight;
+  const std::string At = writeMain("at.hv", chain(Max));
+  CmdResult R = run("--ni main " + At);
+  EXPECT_EQ(R.Exit, 0) << R.Output.substr(0, 300);
+  EXPECT_NE(R.Output.find(": verified"), std::string::npos);
+  EXPECT_NE(R.Output.find("no violation"), std::string::npos);
+  R = run("analyze " + At);
+  EXPECT_EQ(R.Exit, 0);
+  EXPECT_NE(R.Output.find(": provably-low\n"), std::string::npos);
+
+  const std::string Limit = "error [parse]: expression exceeds the height "
+                            "limit of " +
+                            std::to_string(Max) + " levels";
+  for (unsigned Over : {Max + 1, 50000u}) {
+    const std::string Path = writeMain("over.hv", chain(Over));
+    R = run(Path);
+    EXPECT_EQ(R.Exit, 1); // REJECTED, not SIGSEGV
+    EXPECT_NE(R.Output.find(Limit), std::string::npos)
+        << R.Output.substr(0, 300);
+    // analyze reports the parse error (and, outside --check, exits 0).
+    R = run("analyze " + Path);
+    EXPECT_EQ(R.Exit, 0);
+    EXPECT_NE(R.Output.find(": parse-error\n"), std::string::npos);
+    EXPECT_NE(R.Output.find(Limit), std::string::npos);
+  }
 }

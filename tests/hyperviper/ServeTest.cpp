@@ -467,6 +467,41 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
   }
 }
 
+TEST(ServeTest, HostileLinesGetTypedErrorsAndTheDaemonKeepsServing) {
+  // A line nested 100000 deep once overflowed the JSON parser's stack and
+  // a 50000-term `l + l + ...` chain the verifier's; each kills the whole
+  // daemon unless it is refused as an error.
+  const std::string Path = example("figure1.hv");
+  const std::string Src = slurp(Path);
+  const std::string Expected = cliOutput("--jobs 1 " + Path);
+  std::string Chain = "procedure main(l: int) returns (out: int)\n"
+                      "  requires low(l)\n  ensures low(out)\n{\n  out := l";
+  for (unsigned I = 1; I < 50000; ++I)
+    Chain += " + l";
+  Chain += ";\n}\n";
+
+  ServerProc Server;
+  {
+    Client C(Server.port());
+    JsonValue Deep = C.rpc(std::string(100000, '['));
+    ASSERT_NE(Deep.find("error"), nullptr);
+    EXPECT_EQ(Deep.find("error")->getString("type"), "bad-request");
+    EXPECT_NE(Deep.find("error")->getString("message").find("nesting"),
+              std::string::npos);
+
+    JsonValue Tall = C.rpc(verifyLine(1, Chain, "chain.hv"));
+    EXPECT_EQ(Tall.getU64("exit"), 1u);
+    EXPECT_NE(Tall.getString("report").find("height limit"),
+              std::string::npos);
+
+    JsonValue Same = C.rpc(verifyLine(2, Src, Path));
+    EXPECT_EQ(Same.getString("report"), Expected);
+  }
+  Client Fresh(Server.port());
+  JsonValue R = Fresh.rpc(verifyLine(3, Src, Path));
+  EXPECT_EQ(R.getString("report"), Expected);
+}
+
 TEST(ServeTest, ShutdownVerbDrainsAndExitsZero) {
   ServerProc Server;
   Client C(Server.port());

@@ -74,7 +74,7 @@ TEST_P(ClassificationCase, VerifierAndHarnessAgree) {
   EXPECT_EQ(R.Verified, C.ExpectVerified) << R.Diags.str(C.File);
 
   for (unsigned Jobs : {1u, 3u}) {
-    NIReport Rep = D.runEmpirical(R, "main", smokeConfig(Jobs));
+    NIReport Rep = D.runEmpirical(*R.Prog, "main", smokeConfig(Jobs));
     EXPECT_GT(Rep.Runs, 0u) << C.File;
     if (C.ExpectVerified)
       EXPECT_TRUE(Rep.secure())
@@ -92,8 +92,8 @@ TEST_P(ClassificationCase, NIReportIdenticalAcrossJobCounts) {
   DriverResult R = D.verifyFile(pathOf(C.File));
   ASSERT_TRUE(R.ParseOk);
 
-  NIReport R1 = D.runEmpirical(R, "main", smokeConfig(1));
-  NIReport R3 = D.runEmpirical(R, "main", smokeConfig(3));
+  NIReport R1 = D.runEmpirical(*R.Prog, "main", smokeConfig(1));
+  NIReport R3 = D.runEmpirical(*R.Prog, "main", smokeConfig(3));
   EXPECT_EQ(R1.Runs, R3.Runs) << C.File;
   EXPECT_EQ(R1.PairsCompared, R3.PairsCompared) << C.File;
   ASSERT_EQ(R1.Violation.has_value(), R3.Violation.has_value()) << C.File;

@@ -439,6 +439,14 @@ std::string nestedIfs(unsigned N) {
          Body + "\n}\n";
 }
 
+/// `l + l + ... + l` with \p N terms: a left-deep tree N levels tall.
+std::string chain(unsigned N) {
+  std::string E = "l";
+  for (unsigned I = 1; I < N; ++I)
+    E += " + l";
+  return E;
+}
+
 } // namespace
 
 TEST(ParserTest, NestingAtTheLimitParses) {
@@ -476,6 +484,39 @@ TEST(ParserTest, NestingOverTheLimitIsOneLocatedParseError) {
     EXPECT_EQ(D.Message, "nesting exceeds the limit of " + std::to_string(Max) +
                          " levels");
     EXPECT_EQ(D.Loc.Column, C.Column);
+  }
+}
+
+TEST(ParserTest, ExpressionHeightAtTheLimitParses) {
+  const unsigned Max = Parser::MaxHeight;
+  // A chain, and a chain whose last operand is a call: the call and each
+  // of its arguments' chains add levels too.
+  for (const std::string &Source :
+       {mainAssigning(chain(Max)),
+        mainAssigning(chain(Max - 2) + " + max(" + chain(Max - 2) + ", l)")}) {
+    DiagnosticEngine Diags;
+    Program P = Parser::parse(Source, Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str().substr(0, 300);
+    EXPECT_NE(P.findProc("main"), nullptr);
+  }
+}
+
+TEST(ParserTest, ExpressionHeightOverTheLimitIsOneLocatedParseError) {
+  const unsigned Max = Parser::MaxHeight;
+  // `  out := ` puts the first term in column 10 and each ` + l` takes four
+  // columns, so the operator that adds level Max + 1 is in column
+  // 10 + 4 * (Max - 1) + 2, however long the chain goes on.
+  for (const std::string &Source :
+       {mainAssigning(chain(Max + 1)), mainAssigning(chain(50000))}) {
+    DiagnosticEngine Diags;
+    Parser::parse(Source, Diags);
+    ASSERT_EQ(Diags.diagnostics().size(), 1u) << Diags.str().substr(0, 300);
+    const Diagnostic &D = Diags.diagnostics().front();
+    EXPECT_EQ(D.Code, DiagCode::ParseError);
+    EXPECT_EQ(D.Message, "expression exceeds the height limit of " +
+                             std::to_string(Max) + " levels");
+    EXPECT_EQ(D.Loc.Line, 5u);
+    EXPECT_EQ(D.Loc.Column, 10 + 4 * (Max - 1) + 2);
   }
 }
 

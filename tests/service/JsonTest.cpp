@@ -101,6 +101,28 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Err.empty()); // errors carry a description
 }
 
+TEST(JsonTest, NestingIsBounded) {
+  const unsigned Max = JsonValue::MaxNesting;
+  auto Nest = [](unsigned N, char Open, char Close, const char *Inner) {
+    std::string S;
+    for (unsigned I = 0; I < N; ++I)
+      S += Open + std::string(Open == '{' ? "\"k\":" : "");
+    S += Inner;
+    return S + std::string(N, Close);
+  };
+  // Siblings do not add depth; only open containers count.
+  EXPECT_TRUE(JsonValue::parse(Nest(Max, '[', ']', "1") + ""));
+  EXPECT_TRUE(JsonValue::parse("[" + Nest(Max - 1, '[', ']', "") + "," +
+                               Nest(Max - 1, '{', '}', "null") + "]"));
+  for (unsigned Over : {Max + 1, 100000u}) {
+    std::string Err;
+    EXPECT_FALSE(JsonValue::parse(Nest(Over, '[', ']', ""), &Err));
+    EXPECT_EQ(Err, "nesting exceeds the limit of " + std::to_string(Max) +
+                       " levels at offset " + std::to_string(Max));
+    EXPECT_FALSE(JsonValue::parse(Nest(Over, '{', '}', "1"), &Err));
+  }
+}
+
 TEST(JsonTest, DuplicateKeysLastWins) {
   auto V = JsonValue::parse(R"({"k":1,"k":2})");
   ASSERT_TRUE(V);

@@ -477,3 +477,33 @@ TEST(SessionTest, NestingLimitIsAParseErrorAndAtLimitVerifies) {
   EXPECT_EQ(Bad.Exit, 1);
   EXPECT_NE(Bad.Report.find(Limit), std::string::npos);
 }
+
+TEST(SessionTest, HeightLimitIsAParseErrorAndAtLimitVerifies) {
+  const unsigned Max = Parser::MaxHeight;
+  auto Chain = [](unsigned N) {
+    std::string E = "out := l";
+    for (unsigned I = 1; I < N; ++I)
+      E += " + l";
+    return "procedure main(l: int) returns (out: int)\n"
+           "  requires low(l)\n  ensures low(out)\n{\n  " +
+           E + ";\n}\n";
+  };
+  Session S;
+  ServiceRequest At = verifyRequest(Chain(Max).c_str(), "at.hv");
+  At.Proc = "main";
+  ServiceResponse Ok = S.handle(At);
+  EXPECT_TRUE(Ok.Ok) << Ok.Report.substr(0, 300);
+  EXPECT_EQ(Ok.Report.rfind("at.hv: verified\n", 0), 0u);
+
+  // The operator that adds level Max + 1 sits in column 10 + 4 * Max - 2.
+  const std::string Expected =
+      "over.hv:5:" + std::to_string(10 + 4 * Max - 2) +
+      ": error [parse]: expression exceeds the height limit of " +
+      std::to_string(Max) + " levels\nover.hv: REJECTED\n";
+  for (unsigned Over : {Max + 1, 50000u}) {
+    ServiceResponse Bad =
+        S.handle(verifyRequest(Chain(Over).c_str(), "over.hv"));
+    EXPECT_EQ(Bad.Exit, 1);
+    EXPECT_EQ(Bad.Report, Expected);
+  }
+}

@@ -86,7 +86,7 @@ TEST_P(GenSeedTest, SoundnessSweep) {
   NICfg.Trials = 2;
   NICfg.HighSamples = 3;
   NICfg.RandomSchedules = 3;
-  NIReport Report = D.runEmpirical(R, "main", NICfg);
+  NIReport Report = D.runEmpirical(*R.Prog, "main", NICfg);
   EXPECT_TRUE(Report.secure())
       << "VERIFIED program leaks!\n"
       << Report.Violation->describe() << "\n"

@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "verifier/Verifier.h"
+#include "hyperviper/Driver.h"
 
 #include "tests/common/TestUtil.h"
 
@@ -23,21 +23,22 @@ using namespace commcsl::test;
 
 namespace {
 
-/// Verifies a program; returns the diagnostics engine for inspection.
+/// Verifies a program through the Driver; returns the diagnostics engine
+/// for inspection.
 DiagnosticEngine verify(const std::string &Source, bool &Ok,
                         bool SkipValidity = false) {
-  Program P = parseChecked(Source);
-  DiagnosticEngine Diags;
-  VerifierConfig Cfg;
-  Cfg.SkipValidityCheck = SkipValidity;
+  DriverOptions Options;
+  Options.Jobs = 1;
+  Options.Verifier.SkipValidityCheck = SkipValidity;
   // Modest budgets keep unit tests fast.
-  Cfg.Validity.MaxStates = 120;
-  Cfg.Validity.MaxArgs = 30;
-  Cfg.Validity.MaxChecksPerProperty = 30000;
-  Cfg.Validity.RandomRounds = 300;
-  Verifier V(P, Diags, Cfg);
-  Ok = V.verifyAll().Ok;
-  return Diags;
+  Options.Verifier.Validity.MaxStates = 120;
+  Options.Verifier.Validity.MaxArgs = 30;
+  Options.Verifier.Validity.MaxChecksPerProperty = 30000;
+  Options.Verifier.Validity.RandomRounds = 300;
+  DriverResult R = Driver(Options).verifySource(Source, "test.hv");
+  EXPECT_TRUE(R.ParseOk) << R.Diags.str();
+  Ok = R.Verified;
+  return R.Diags;
 }
 
 void expectVerifies(const std::string &Source) {

@@ -18,6 +18,11 @@ drives the ndjson protocol over TCP and enforces the daemon's contract:
   - `stats` has the documented shape;
   - malformed JSON and unknown verbs get typed errors (the connection
     survives both);
+  - hostile input does not take the daemon down: a line of JSON nested
+    100000 deep gets a typed `bad-request`, a `verify` of a 50000-term
+    `l + l + ...` chain gets the parse error, and after each a normal
+    `verify` still returns the one-shot CLI's bytes, on the same
+    connection and on a new one;
   - `shutdown` drains and the process exits 0.
 
 Exit 1 with a description on the first violated clause.
@@ -138,6 +143,36 @@ def check_errors(client):
     print("check_serve: typed errors ok")
 
 
+def check_hostile(port, bin_path, path):
+    with open(path, encoding="utf-8") as f:
+        normal = {"id": "n", "verb": "verify", "source": f.read(), "name": path}
+    want_report, _ = one_shot(bin_path, path)
+    chain = (
+        "procedure main(l: int) returns (out: int)\n  requires low(l)\n"
+        "  ensures low(out)\n{\n  out := l" + " + l" * 49999 + ";\n}\n"
+    )
+    hostile = [
+        ("100000-deep JSON", "[" * 100000,
+         lambda r: r.get("error", {}).get("type") == "bad-request"),
+        ("50000-term chain", json.dumps(dict(normal, source=chain)),
+         lambda r: r.get("exit") == 1
+         and "height limit" in r.get("report", "")),
+    ]
+    client = Client(port)
+    for what, line, refused in hostile:
+        resp = client.rpc(raw=line + "\n")
+        if not refused(resp):
+            fail(f"{what}: not refused as expected: {resp!r}"[:300])
+        if client.rpc(normal).get("report") != want_report:
+            fail(f"after the {what}: report differs from one-shot CLI")
+    client.close()
+    fresh = Client(port)
+    if fresh.rpc(normal).get("report") != want_report:
+        fail("new connection after hostile input: report differs from CLI")
+    fresh.close()
+    print("check_serve: hostile input refused, daemon still serving")
+
+
 def main():
     if len(sys.argv) < 3:
         print(__doc__, file=sys.stderr)
@@ -160,6 +195,7 @@ def main():
             check_verify(client, bin_path, path)
         check_stats(client)
         check_errors(client)
+        check_hostile(port, bin_path, files[0])
 
         resp = client.rpc({"id": "bye", "verb": "shutdown"})
         if not resp.get("shutting_down"):

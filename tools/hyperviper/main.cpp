@@ -107,8 +107,6 @@
 #include "fuzz/Corpus.h"
 #include "hyperviper/Analyze.h"
 #include "hyperviper/Driver.h"
-#include "lang/TypeChecker.h"
-#include "parser/Parser.h"
 #include "rspec/Suggest.h"
 #include "service/Server.h"
 #include "support/Numeric.h"
@@ -121,7 +119,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -249,6 +246,29 @@ double requireSeconds(const char *Sub, const char *Flag, int Argc,
     std::exit(2);
   }
   return std::strtod(Value, nullptr);
+}
+
+/// The content of \p Path, or nullopt after reporting on stderr that it
+/// cannot be opened.
+std::optional<std::string> readInput(const char *Sub, const std::string &Path) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
+    std::fprintf(stderr, "%s: error: cannot open '%s'\n", Sub, Path.c_str());
+  return Text;
+}
+
+/// Parses and type-checks \p Source, read from \p Path, for a verb that
+/// needs a well-formed program; on failure reports the diagnostics on
+/// stderr and yields nullopt.
+std::optional<ParsedUnit> parseInput(const char *Sub, const std::string &Path,
+                                     const std::string &Source) {
+  ParsedUnit Unit = Driver().parseAndCheck(Source, Path);
+  if (!Unit.Ok) {
+    std::fprintf(stderr, "%s", Unit.Diags.str(Path).c_str());
+    std::fprintf(stderr, "%s: error: program does not parse\n", Sub);
+    return std::nullopt;
+  }
+  return Unit;
 }
 
 int runFuzz(int Argc, char **Argv) {
@@ -484,8 +504,8 @@ int runServe(int Argc, char **Argv) {
 
 /// `hyperviper check-cert <prog.hv> <cert>`: parse and type-check the
 /// program, parse the certificate, and re-derive every step with the
-/// independent checker. Deliberately bypasses the Driver so no solver or
-/// verifier code runs on this path.
+/// independent checker. Only the Driver's parse phase runs, so no solver
+/// or verifier code runs on this path.
 int runCheckCert(int Argc, char **Argv) {
   const char *Sub = "hyperviper check-cert";
   std::vector<std::string> Inputs;
@@ -509,43 +529,23 @@ int runCheckCert(int Argc, char **Argv) {
     std::fprintf(stderr, "%s: error: expected <prog.hv> <cert>\n", Sub);
     return 2;
   }
-  auto Slurp = [&](const std::string &Path,
-                   std::string &Out) {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "%s: error: cannot open '%s'\n", Sub,
-                   Path.c_str());
-      return false;
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Out = SS.str();
-    return true;
-  };
-  std::string ProgText, CertText;
-  if (!Slurp(Inputs[0], ProgText) || !Slurp(Inputs[1], CertText))
+  std::optional<std::string> ProgText = readInput(Sub, Inputs[0]);
+  std::optional<std::string> CertText =
+      ProgText ? readInput(Sub, Inputs[1]) : std::nullopt;
+  if (!CertText)
     return 2;
-
-  DiagnosticEngine Diags;
-  Program Prog = Parser::parse(ProgText, Diags);
-  if (!Diags.hasErrors()) {
-    TypeChecker Checker(Prog, Diags);
-    Checker.check();
-  }
-  if (Diags.hasErrors()) {
-    std::fprintf(stderr, "%s", Diags.str(Inputs[0]).c_str());
-    std::fprintf(stderr, "%s: error: program does not parse\n", Sub);
+  std::optional<ParsedUnit> Unit = parseInput(Sub, Inputs[0], *ProgText);
+  if (!Unit)
     return 2;
-  }
 
   std::string ParseError;
-  std::optional<cert::Certificate> C = cert::parse(CertText, &ParseError);
+  std::optional<cert::Certificate> C = cert::parse(*CertText, &ParseError);
   if (!C) {
     std::printf("%s: INVALID (parse: %s)\n", Inputs[1].c_str(),
                 ParseError.c_str());
     return 1;
   }
-  cert::CheckResult R = cert::checkCertificate(*C, Prog);
+  cert::CheckResult R = cert::checkCertificate(*C, *Unit->Prog);
   if (!R.Ok) {
     std::printf("%s: INVALID (%s)\n", Inputs[1].c_str(), R.Error.c_str());
     return 1;
@@ -598,26 +598,13 @@ int runSuggestSpec(int Argc, char **Argv) {
     return 2;
   }
 
-  std::ifstream In(Inputs[0]);
-  if (!In) {
-    std::fprintf(stderr, "%s: error: cannot open '%s'\n", Sub,
-                 Inputs[0].c_str());
+  std::optional<std::string> Source = readInput(Sub, Inputs[0]);
+  if (!Source)
     return 2;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-
-  DiagnosticEngine Diags;
-  Program Prog = Parser::parse(SS.str(), Diags);
-  if (!Diags.hasErrors()) {
-    TypeChecker Checker(Prog, Diags);
-    Checker.check();
-  }
-  if (Diags.hasErrors()) {
-    std::fprintf(stderr, "%s", Diags.str(Inputs[0]).c_str());
-    std::fprintf(stderr, "%s: error: program does not parse\n", Sub);
+  std::optional<ParsedUnit> Unit = parseInput(Sub, Inputs[0], *Source);
+  if (!Unit)
     return 2;
-  }
+  const Program &Prog = *Unit->Prog;
   if (Prog.Specs.empty()) {
     std::fprintf(stderr, "%s: error: program declares no resource specs\n",
                  Sub);
@@ -728,18 +715,18 @@ int runVerify(int Argc, char **Argv) {
   int Exit = 0;
   for (const auto &[Display, Path] : Files) {
     DriverResult R = D.verifyFile(Path);
-    if (!R.Verified) {
+    VerifyVerbOutput Out = D.renderVerify(R, Display, NIProc);
+    if (!Out.Ok)
       Exit = 1;
-      if (!Quiet)
-        std::fputs(R.Diags.str(Display).c_str(), stderr);
-    }
-    std::fputs(formatVerdictLine(Display, R.Verified).c_str(), stdout);
+    if (!Quiet)
+      std::fputs(Out.Diagnostics.c_str(), stderr);
+    std::fputs(Out.VerdictLine.c_str(), stdout);
     if (!CertPath.empty()) {
       if (R.Cert.empty()) {
         std::fprintf(stderr,
                      "%s: error: no certificate (file did not parse)\n",
                      Sub);
-        Exit = Exit ? Exit : 1;
+        Exit = 1;
       } else if (CertPath == "-") {
         std::fputs(R.Cert.c_str(), stdout);
       } else {
@@ -763,12 +750,7 @@ int runVerify(int Argc, char **Argv) {
                     R.TriageSkipped, R.Verification.Procs.size(),
                     R.AnalysisSeconds);
     }
-    if (!NIProc.empty() && R.ParseOk) {
-      NIReport Report = D.runEmpirical(R, NIProc);
-      std::fputs(formatNIBlock(Report).c_str(), stdout);
-      if (!Report.secure())
-        Exit = 1;
-    }
+    std::fputs(Out.NIBlock.c_str(), stdout);
   }
   if (!Obs.finish())
     return 2;
